@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import Representation
-
 __all__ = [
     "AugmentationContext",
     "compute_radius",
@@ -42,24 +40,12 @@ class AugmentationContext:
             raise ValueError(f"num_candidates must be >= 1, got {self.num_candidates}")
 
 
-def _vec(rep) -> np.ndarray:
-    vector = rep.vector if isinstance(rep, Representation) else np.asarray(rep, dtype=np.float64)
-    return vector.reshape(1, -1)
-
-
-def compute_radius(reps) -> float:
-    """Mean Euclidean distance of the representations from their centroid."""
-    if isinstance(reps, np.ndarray):
-        mat = reps
-    else:
-        reps = list(reps)
-        if not reps:
-            raise ValueError("compute_radius: empty representation list")
-        mat = np.vstack([_vec(r) for r in reps])
-    if mat.shape[0] == 0:
-        raise ValueError("compute_radius: empty representation list")
-    centroid = mat.mean(axis=0, keepdims=True)
-    return float(np.linalg.norm(mat - centroid, axis=1).mean())
+def compute_radius(reps: np.ndarray) -> float:
+    """Mean Euclidean distance of the representation rows from their centroid."""
+    if reps.shape[0] == 0:
+        raise ValueError("compute_radius: empty representation matrix")
+    centroid = reps.mean(axis=0, keepdims=True)
+    return float(np.linalg.norm(reps - centroid, axis=1).mean())
 
 
 def sample_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,8 +105,8 @@ def augment(
     label: int,
     sample_id: str = "",
     epoch: int = 0,
-) -> Representation:
-    """Augmented representation for one sample.
+) -> np.ndarray:
+    """Augmented representation for one sample, as a (1, dim) row.
 
     ``classify_fn`` maps a (1, dim) row to (1, n_classes) logits and should
     be the target classifier's state at the start of the step.  The offset
@@ -128,10 +114,9 @@ def augment(
     only.
     """
     ctx.validate()
-    vector = _vec(rep)
+    vector = np.asarray(rep, dtype=np.float64).reshape(1, -1)
     if ctx.radius == 0.0:
-        return Representation(vector=vector.copy(), origin="augmented")
+        return vector.copy()
     rng = derive_rng(ctx.rng_seed, sample_id, epoch)
     directions = [sample_unit_vector(vector.shape[1], rng) for _ in range(ctx.num_candidates)]
-    chosen, _, _ = select_augmentation(vector, ctx.radius, directions, classify_fn, label)
-    return Representation(vector=chosen, origin="augmented")
+    return select_augmentation(vector, ctx.radius, directions, classify_fn, label)[0]

@@ -25,20 +25,15 @@ __all__ = [
     "sub",
     "scale",
     "relu",
-    "tanh",
     "exp",
     "log",
     "hadamard",
-    "elementwise",
     "sum_all",
     "mean_all",
     "rowsum",
-    "l2norm",
-    "reduce_op",
     "reciprocal",
     "sqrt_pos",
     "backward",
-    "zero_grad",
     "AdamState",
     "adam_init",
     "adam_step",
@@ -177,17 +172,6 @@ def relu(a: Node) -> Node:
     return out
 
 
-def tanh(a: Node) -> Node:
-    t = np.tanh(a.value)
-    out = Node(t, (a,))
-
-    def rule(g):
-        a.grad += g * (1.0 - t * t)
-
-    out._rule = rule
-    return out
-
-
 def exp(a: Node) -> Node:
     e = np.exp(a.value)
     out = Node(e, (a,))
@@ -222,27 +206,6 @@ def hadamard(a: Node, b: Node) -> Node:
 
     out._rule = rule
     return out
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "scale": scale,
-    "relu": relu,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "hadamard": hadamard,
-}
-
-
-def elementwise(op: str, *args) -> Node:
-    """Dispatch by name over the entrywise op set."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(*args)
 
 
 def _check_nonempty(op: str, a: Node) -> None:
@@ -283,41 +246,6 @@ def rowsum(a: Node) -> Node:
 
     out._rule = rule
     return out
-
-
-def l2norm(a: Node) -> Node:
-    """Euclidean norm of a vector (single row or single column).
-
-    Backward at the zero vector is defined as the zero gradient.
-    """
-    _check_nonempty("l2norm", a)
-    if 1 not in a.value.shape:
-        raise ShapeError(f"l2norm: expected a vector, got shape {a.value.shape}")
-    n = float(np.sqrt(np.sum(a.value * a.value)))
-    out = Node([[n]], (a,))
-
-    def rule(g):
-        if n > 0.0:
-            a.grad += g[0, 0] * (a.value / n)
-
-    out._rule = rule
-    return out
-
-
-_REDUCE = {
-    "sum": sum_all,
-    "mean": mean_all,
-    "rowsum": rowsum,
-    "l2norm": l2norm,
-}
-
-
-def reduce_op(op: str, a: Node) -> Node:
-    try:
-        fn = _REDUCE[op]
-    except KeyError:
-        raise ValueError(f"unknown reduce op {op!r}") from None
-    return fn(a)
 
 
 def reciprocal(a: Node) -> Node:
@@ -363,12 +291,6 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
         if node._rule is not None:
             node._rule(node.grad)
     return {node: node.grad for node in order if node.is_param}
-
-
-def zero_grad(root: Node) -> None:
-    """Reset gradients of every node reachable from ``root``."""
-    for node in _toposort(root):
-        node.grad[...] = 0.0
 
 
 @dataclass

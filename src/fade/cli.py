@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 
 from .autodiff import DomainError, ShapeError, TrainingError
 from .config import ConfigError, RunConfig, load_config
-from .data import Dataset, DatasetError, load_dataset, save_dataset
+from .data import DatasetError, load_dataset, save_dataset
 from .inference import (
     DebiasConfig,
     evaluate,
@@ -106,11 +105,6 @@ def _load_run(run_dir):
             f"{run / 'event_only.ckpt'} does not hold event-only predictor weights"
         )
     return target, event_only
-
-
-def _instances(ds: Dataset, ids):
-    by_id = ds.by_id()
-    return [by_id[i] for i in ids]
 
 
 def _resolve_beta(args, cfg: RunConfig, target, event_only, val_insts):
@@ -193,7 +187,6 @@ def cmd_train(args) -> int:
         seed=args.seed,
         arch=arch,
         num_candidates=cfg.get("num_candidates"),
-        radius_scope=cfg.get("radius_scope"),
     )
     event_only, event_log = train_event_only(
         ds, manifest.train_ids, manifest.val_ids, hyper, seed=args.seed, arch=arch
@@ -227,8 +220,9 @@ def cmd_eval(args) -> int:
     ds, manifest = _load_inputs(args.data, args.split)
     target, event_only = _load_run(args.run)
 
-    val_insts = _instances(ds, manifest.val_ids)
-    test_insts = _instances(ds, manifest.test_ids)
+    by_id = ds.by_id()
+    val_insts = [by_id[i] for i in manifest.val_ids]
+    test_insts = [by_id[i] for i in manifest.test_ids]
     beta, source = _resolve_beta(args, cfg, target, event_only, val_insts)
 
     predictions = predict(target, event_only, test_insts, DebiasConfig(beta=beta))
@@ -257,8 +251,9 @@ def cmd_predict(args) -> int:
     target, event_only = _load_run(args.run)
 
     if manifest is not None:
-        insts = _instances(ds, manifest.test_ids)
-        val_insts = _instances(ds, manifest.val_ids)
+        by_id = ds.by_id()
+        insts = [by_id[i] for i in manifest.test_ids]
+        val_insts = [by_id[i] for i in manifest.val_ids]
     else:
         insts = list(ds.instances)
         val_insts = []
@@ -294,19 +289,13 @@ def _ablate_one_seed(cfg: RunConfig, seed: int) -> dict:
     ratios = cfg.split_ratios()
     hyper = cfg.hyperparams()
     arch = cfg.arch()
-    num_candidates = cfg.get("num_candidates")
-    radius_scope = cfg.get("radius_scope")
 
     sep = event_separated_split(ds, ratios, seed)
     mixed = event_mixed_split(ds, ratios, seed)
 
-    target, _ = train_target(
-        ds, sep.train_ids, sep.val_ids, hyper, seed=seed, arch=arch,
-        num_candidates=num_candidates, radius_scope=radius_scope,
-    )
-    event_only, _ = train_event_only(
-        ds, sep.train_ids, sep.val_ids, hyper, seed=seed, arch=arch
-    )
+    target, _ = train_target(ds, sep.train_ids, sep.val_ids, hyper, seed=seed, arch=arch,
+                             num_candidates=cfg.get("num_candidates"))
+    event_only, _ = train_event_only(ds, sep.train_ids, sep.val_ids, hyper, seed=seed, arch=arch)
     hyper0 = replace(hyper, alpha=0.0)
     plain, _ = train_target(ds, sep.train_ids, sep.val_ids, hyper0, seed=seed, arch=arch)
     plain_mixed, _ = train_target(
@@ -318,9 +307,10 @@ def _ablate_one_seed(cfg: RunConfig, seed: int) -> dict:
         labels = np.array([i.label for i in insts])
         return float(np.mean(preds == labels))
 
-    sep_val = _instances(ds, sep.val_ids)
-    sep_test = _instances(ds, sep.test_ids)
-    mixed_test = _instances(ds, mixed.test_ids)
+    by_id = ds.by_id()
+    sep_val = [by_id[i] for i in sep.val_ids]
+    sep_test = [by_id[i] for i in sep.test_ids]
+    mixed_test = [by_id[i] for i in mixed.test_ids]
     beta = sweep_beta(target, event_only, sep_val)
     return {
         "seed": seed,
@@ -336,22 +326,15 @@ def cmd_ablate(args) -> int:
     cfg = _build_config(args)
     if args.seeds is not None:
         cfg.set("ablate_seeds", args.seeds)
-    if args.workers is not None:
-        cfg.set("workers", args.workers)
     cfg.validate()
 
     n_seeds = cfg.get("ablate_seeds")
     seeds = list(range(n_seeds))
-    workers = cfg.get("workers") or min(4, os.cpu_count() or 1)
 
+    # Seeds run one after another, in seed order.  A thread pool was slower
+    # on two cores: each seed is numpy-bound and BLAS already uses the cores.
     t0 = time.perf_counter()
-    if workers == 1:
-        results = [_ablate_one_seed(cfg, s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            # map() yields in submission order, so output order is seed order
-            # regardless of which worker finishes first.
-            results = list(ex.map(lambda s: _ablate_one_seed(cfg, s), seeds))
+    results = [_ablate_one_seed(cfg, s) for s in seeds]
     elapsed = time.perf_counter() - t0
 
     variants = {}
@@ -373,7 +356,7 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "ablation.json", payload)
 
-    print(f"{len(seeds)} seeds in {elapsed:.1f}s ({workers} worker(s))", file=sys.stderr)
+    print(f"{len(seeds)} seeds in {elapsed:.1f}s", file=sys.stderr)
     width = max(len(v) for v in ABLATION_VARIANTS)
     print(f"{'variant':<{width}}  {'mean':>6}  {'std':>6}   (n={len(seeds)})")
     for name in ABLATION_VARIANTS:
@@ -446,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="output directory for ablation.json")
     p.add_argument("--seeds", type=int, help="number of seeds (default: config ablate_seeds)")
-    p.add_argument("--workers", type=int, help="worker threads (default: config workers)")
     p.set_defaults(func=cmd_ablate)
 
     return parser

@@ -60,24 +60,16 @@ KNOWN_KEYS: dict[str, tuple[type, object]] = {
     "pooling": (str, "mean"),
     "proj_dim": (int, 32),
     "num_candidates": (int, 10),
-    "radius_scope": (str, "epoch"),
     # inference
     "beta": (float, None),
     # ablation
     "ablate_seeds": (int, 10),
-    "workers": (int, 0),
 }
-
-_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _coerce(key: str, raw: str):
     typ, _default = KNOWN_KEYS[key]
     raw = raw.strip()
-    if typ is bool:
-        if raw.lower() not in _BOOL_WORDS:
-            raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-        return _BOOL_WORDS[raw.lower()]
     if typ is int:
         try:
             return int(raw, 10)
@@ -203,14 +195,8 @@ class RunConfig:
             raise ConfigError(f"beta must be >= 0, got {beta!r}")
         if self.get("ablate_seeds") < 1:
             raise ConfigError(f"ablate_seeds must be >= 1, got {self.get('ablate_seeds')}")
-        if self.get("workers") < 0:
-            raise ConfigError(f"workers must be >= 0, got {self.get('workers')}")
         if self.get("num_candidates") < 1:
             raise ConfigError(f"num_candidates must be >= 1, got {self.get('num_candidates')}")
-        if self.get("radius_scope") not in ("epoch", "batch"):
-            raise ConfigError(
-                f"radius_scope must be 'epoch' or 'batch', got {self.get('radius_scope')!r}"
-            )
         try:
             self.synth_config(seed=0).validate()
             self.split_ratios().validate()

@@ -18,9 +18,7 @@ from .data import PropagationGraph, normalized_adjacency
 
 __all__ = [
     "EncoderParams",
-    "Representation",
     "init_encoder",
-    "encode",
     "encode_all",
     "encode_batch_node",
 ]
@@ -54,14 +52,6 @@ class EncoderParams:
                     f"layer {i} output dim {self.layers[i].shape[1]} != "
                     f"layer {i + 1} input dim {self.layers[i + 1].shape[0]}"
                 )
-
-
-@dataclass
-class Representation:
-    """Graph-level embedding row vector with its provenance tag."""
-
-    vector: np.ndarray  # (1, hidden_dim)
-    origin: str = "original"  # original | augmented | event_mean | event_original
 
 
 def init_encoder(
@@ -115,13 +105,6 @@ def encode_batch_node(
     for w in layer_nodes:
         h = relu(matmul(matmul(n_node, h), w))
     return matmul(const(_pool_matrix(sizes, pooling)), h)
-
-
-def encode(params: EncoderParams, g: PropagationGraph) -> Representation:
-    """Graph-level representation of a single propagation graph."""
-    params.validate()
-    out = encode_batch_node([const(w) for w in params.layers], [g], params.pooling)
-    return Representation(vector=out.value, origin="original")
 
 
 def encode_all(

@@ -16,12 +16,11 @@ import numpy as np
 
 from .autodiff import ShapeError
 from .data import NewsInstance
-from .encoder import encode_all
 from .predictors import (
     EventOnlyPredictorParams,
-    Logits,
     TargetPredictorParams,
-    event_mean_pool,
+    event_only_logits,
+    target_logits,
 )
 
 __all__ = [
@@ -61,37 +60,17 @@ class EvalReport:
     n_events: int
 
 
-def debias(o_target, o_event, cfg: DebiasConfig):
+def debias(o_target, o_event, cfg: DebiasConfig) -> np.ndarray:
     """Subtract beta-scaled event-only logits from target logits.
 
-    Operates on raw (pre-softmax) scores.  Accepts plain arrays or Logits
-    and returns the same kind.
+    Operates on raw (pre-softmax) scores.
     """
     cfg.validate()
-    wrap = isinstance(o_target, Logits)
-    t = o_target.vector if wrap else np.asarray(o_target, dtype=np.float64)
-    e = o_event.vector if isinstance(o_event, Logits) else np.asarray(o_event, dtype=np.float64)
+    t = np.asarray(o_target, dtype=np.float64)
+    e = np.asarray(o_event, dtype=np.float64)
     if t.shape != e.shape:
         raise ShapeError(f"debias: logit shapes differ, {t.shape} vs {e.shape}")
-    out = t - cfg.beta * e
-    return Logits(vector=out, source="debiased") if wrap else out
-
-
-def target_logits(params: TargetPredictorParams, instances: list[NewsInstance]) -> np.ndarray:
-    reps = encode_all(params.encoder, [i.graph for i in instances])
-    return params.classifier.apply(reps)
-
-
-def event_only_logits(
-    params: EventOnlyPredictorParams, instances: list[NewsInstance]
-) -> np.ndarray:
-    """Event-only logits with event means taken over the given instances."""
-    for inst in instances:
-        if not inst.event:
-            raise ValueError(f"instance {inst.id!r} has no event label")
-    reps = encode_all(params.encoder, [i.graph for i in instances])
-    pooled = event_mean_pool(reps, [i.event for i in instances])
-    return params.classifier.apply(pooled)
+    return t - cfg.beta * e
 
 
 def predict(

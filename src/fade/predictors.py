@@ -6,13 +6,14 @@ projections of original and augmented representations.  The event-only
 predictor (independent encoder + classifier) replaces each representation
 with its event's mean before classification, so it can only learn
 event-driven signal.  Both use Adam and keep the best-validation-accuracy
-checkpoint.
+checkpoint, through one shared training loop.
 """
 
 from __future__ import annotations
 
+import copy
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +30,11 @@ __all__ = [
     "EventOnlyPredictorParams",
     "Hyperparams",
     "ArchConfig",
-    "Logits",
     "ce_loss",
     "contrastive_loss",
     "event_mean_pool",
+    "target_logits",
+    "event_only_logits",
     "train_target",
     "train_event_only",
     "CheckpointError",
@@ -69,26 +71,12 @@ class TargetPredictorParams:
     projection: ProjectionParams
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        out = _encoder_tensors(self.encoder)
-        out["classifier.weight"] = self.classifier.w
-        out["classifier.bias"] = self.classifier.b
+        out = _base_tensors(self.encoder, self.classifier)
         out["projection.w1"] = self.projection.w1
         out["projection.b1"] = self.projection.b1
         out["projection.w2"] = self.projection.w2
         out["projection.b2"] = self.projection.b2
         return out
-
-    def copy(self) -> "TargetPredictorParams":
-        return TargetPredictorParams(
-            encoder=_copy_encoder(self.encoder),
-            classifier=AffineParams(self.classifier.w.copy(), self.classifier.b.copy()),
-            projection=ProjectionParams(
-                self.projection.w1.copy(),
-                self.projection.b1.copy(),
-                self.projection.w2.copy(),
-                self.projection.b2.copy(),
-            ),
-        )
 
 
 @dataclass
@@ -97,16 +85,7 @@ class EventOnlyPredictorParams:
     classifier: AffineParams
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        out = _encoder_tensors(self.encoder)
-        out["classifier.weight"] = self.classifier.w
-        out["classifier.bias"] = self.classifier.b
-        return out
-
-    def copy(self) -> "EventOnlyPredictorParams":
-        return EventOnlyPredictorParams(
-            encoder=_copy_encoder(self.encoder),
-            classifier=AffineParams(self.classifier.w.copy(), self.classifier.b.copy()),
-        )
+        return _base_tensors(self.encoder, self.classifier)
 
 
 @dataclass
@@ -135,23 +114,14 @@ class ArchConfig:
     proj_dim: int = 32
 
 
-@dataclass
-class Logits:
-    """Pre-softmax class scores with their source tag."""
-
-    vector: np.ndarray  # (1, n_classes)
-    source: str = "target"  # target | event_only | debiased
-
-
-def _encoder_tensors(enc: EncoderParams) -> dict[str, np.ndarray]:
+def _base_tensors(enc: EncoderParams, clf: AffineParams) -> dict[str, np.ndarray]:
+    """Encoder and classifier tensors, in checkpoint order."""
     out = {"encoder.pooling_mode": np.array([[0.0 if enc.pooling == "mean" else 1.0]])}
     for i, layer in enumerate(enc.layers):
         out[f"encoder.layer.{i}"] = layer
+    out["classifier.weight"] = clf.w
+    out["classifier.bias"] = clf.b
     return out
-
-
-def _copy_encoder(enc: EncoderParams) -> EncoderParams:
-    return EncoderParams(layers=[w.copy() for w in enc.layers], pooling=enc.pooling)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +191,7 @@ def event_mean_pool(reps: np.ndarray, events) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# shared forward pieces
+# forward passes
 
 
 def _affine_node(x: Node, w: Node, b: Node) -> Node:
@@ -234,26 +204,21 @@ def _projection_node(x: Node, p: dict[str, Node]) -> Node:
     return _affine_node(hidden, p["projection.w2"], p["projection.b2"])
 
 
-def _accuracy(params_encoder: EncoderParams, clf: AffineParams, insts) -> float:
-    if not insts:
-        return 0.0
-    reps = encode_all(params_encoder, [i.graph for i in insts])
-    preds = np.argmax(clf.apply(reps), axis=1)
-    return float(np.mean(preds == [i.label for i in insts]))
+def target_logits(params: TargetPredictorParams, instances: list[NewsInstance]) -> np.ndarray:
+    reps = encode_all(params.encoder, [i.graph for i in instances])
+    return params.classifier.apply(reps)
 
 
-def _event_accuracy(params: "EventOnlyPredictorParams", insts) -> float:
-    if not insts:
-        return 0.0
-    reps = encode_all(params.encoder, [i.graph for i in insts])
-    pooled = event_mean_pool(reps, [i.event for i in insts])
-    preds = np.argmax(params.classifier.apply(pooled), axis=1)
-    return float(np.mean(preds == [i.label for i in insts]))
-
-
-def _resolve_split(ds: Dataset, ids) -> list[NewsInstance]:
-    lookup = ds.by_id()
-    return [lookup[i] for i in ids]
+def event_only_logits(
+    params: EventOnlyPredictorParams, instances: list[NewsInstance]
+) -> np.ndarray:
+    """Event-only logits with event means taken over the given instances."""
+    for inst in instances:
+        if not inst.event:
+            raise ValueError(f"instance {inst.id!r} has no event label")
+    reps = encode_all(params.encoder, [i.graph for i in instances])
+    pooled = event_mean_pool(reps, [i.event for i in instances])
+    return params.classifier.apply(pooled)
 
 
 def _event_batches(insts: list[NewsInstance], batch_size: int, rng) -> list[list[int]]:
@@ -280,6 +245,75 @@ def _event_batches(insts: list[NewsInstance], batch_size: int, rng) -> list[list
 # trainers
 
 
+def _setup(ds: Dataset, train_ids, val_ids, hyper: Hyperparams, seed: int, arch: ArchConfig):
+    """Resolved splits, the seeded generator, and a fresh encoder and classifier."""
+    hyper.validate()
+    by_id = ds.by_id()
+    train = [by_id[i] for i in train_ids]
+    val = [by_id[i] for i in val_ids]
+    if not train:
+        raise ValueError("train split is empty")
+    rng = np.random.default_rng(seed)
+    encoder = init_encoder(ds.feature_dim, arch.hidden_dim, arch.n_layers, rng, arch.pooling)
+    classifier = AffineParams(
+        w=rng.normal(0.0, np.sqrt(1.0 / arch.hidden_dim), (arch.hidden_dim, ds.n_classes)),
+        b=np.zeros((1, ds.n_classes)),
+    )
+    return train, val, rng, encoder, classifier
+
+
+def _fit(params, hyper: Hyperparams, n_train: int, val, forward, epoch_batches, batch_loss):
+    """Adam over every tensor of ``params``, keeping the best-validation copy.
+
+    Each epoch, ``epoch_batches(epoch)`` gives the batches as index lists
+    into the train split, and ``batch_loss(nodes, idx, epoch)`` builds one
+    batch's (total loss node, cross-entropy, contrastive term) from the
+    parameter nodes.  Validation accuracy scores ``forward(params, val)``.
+    The nodes wrap the parameter arrays themselves, so Adam's in-place
+    updates are what ``params`` holds.
+    """
+    nodes = {name: ad.param(tensor) for name, tensor in params.named_tensors().items()
+             if name != "encoder.pooling_mode"}
+    ordered = sorted(nodes)
+    arrays = [nodes[n].value for n in ordered]
+    state = ad.adam_init(arrays)
+    val_labels = [i.label for i in val]
+    log: list[dict] = []
+    best = None
+    best_acc = -1.0
+
+    for epoch in range(hyper.epochs):
+        ce_sum = cl_sum = total_sum = 0.0
+        for batch_no, idx in enumerate(epoch_batches(epoch)):
+            loss, ce_value, cl_value = batch_loss(nodes, idx, epoch)
+            if not np.isfinite(loss.value[0, 0]):
+                raise TrainingError(f"non-finite loss at epoch {epoch} batch {batch_no}")
+            for n in ordered:
+                nodes[n].grad[...] = 0.0
+            ad.backward(loss)
+            ad.adam_step(arrays, [nodes[n].grad for n in ordered], state, lr=hyper.lr)
+            ce_sum += ce_value * len(idx)
+            cl_sum += cl_value * len(idx)
+            total_sum += float(loss.value[0, 0]) * len(idx)
+
+        val_acc = 0.0
+        if val:
+            preds = np.argmax(forward(params, val), axis=1)
+            val_acc = float(np.mean(preds == val_labels))
+        log.append({
+            "epoch": epoch,
+            "loss_ce": ce_sum / n_train,
+            "loss_cl": cl_sum / n_train,
+            "loss_total": total_sum / n_train,
+            "val_acc": val_acc,
+        })
+        if val and val_acc > best_acc:
+            best_acc = val_acc
+            best = copy.deepcopy(params)
+
+    return (best if best is not None else params), log
+
+
 def train_target(
     ds: Dataset,
     train_ids,
@@ -288,32 +322,20 @@ def train_target(
     seed: int,
     arch: ArchConfig | None = None,
     num_candidates: int = 10,
-    radius_scope: str = "epoch",
 ) -> tuple[TargetPredictorParams, list[dict]]:
     """Train the target predictor on an event-separated train split.
 
     Returns the best-validation-accuracy checkpoint and a per-epoch log of
     {epoch, loss_ce, loss_cl, loss_total, val_acc}.  With alpha == 0 the
     augmentation/contrastive branch is skipped entirely and this is plain
-    cross-entropy training.
+    cross-entropy training.  The augmentation radius is recomputed from the
+    whole train split at the start of every epoch.
     """
-    hyper.validate()
-    if radius_scope not in ("epoch", "batch"):
-        raise ValueError(f"radius_scope must be 'epoch' or 'batch', got {radius_scope!r}")
     arch = arch or ArchConfig()
-    train = _resolve_split(ds, train_ids)
-    val = _resolve_split(ds, val_ids)
-    if not train:
-        raise ValueError("train split is empty")
-    n_classes = ds.n_classes
-    rng = np.random.default_rng(seed)
-
+    train, val, rng, encoder, classifier = _setup(ds, train_ids, val_ids, hyper, seed, arch)
     params = TargetPredictorParams(
-        encoder=init_encoder(ds.feature_dim, arch.hidden_dim, arch.n_layers, rng, arch.pooling),
-        classifier=AffineParams(
-            w=rng.normal(0.0, np.sqrt(1.0 / arch.hidden_dim), (arch.hidden_dim, n_classes)),
-            b=np.zeros((1, n_classes)),
-        ),
+        encoder=encoder,
+        classifier=classifier,
         projection=ProjectionParams(
             w1=rng.normal(0.0, np.sqrt(2.0 / arch.hidden_dim), (arch.hidden_dim, arch.proj_dim)),
             b1=np.zeros((1, arch.proj_dim)),
@@ -321,80 +343,34 @@ def train_target(
             b2=np.zeros((1, arch.proj_dim)),
         ),
     )
-    nodes = {name: ad.param(tensor) for name, tensor in params.named_tensors().items()
-             if name != "encoder.pooling_mode"}
-    enc_nodes = [nodes[f"encoder.layer.{i}"] for i in range(arch.n_layers)]
-    ordered = sorted(nodes)
-    arrays = [nodes[n].value for n in ordered]
-    state = ad.adam_init(arrays)
-
     graphs = [inst.graph for inst in train]
-    labels = [inst.label for inst in train]
-    log: list[dict] = []
-    best: TargetPredictorParams | None = None
-    best_acc = -1.0
+    ctx = AugmentationContext(radius=0.0, num_candidates=num_candidates, rng_seed=seed)
 
-    for epoch in range(hyper.epochs):
-        radius = 0.0
-        if hyper.alpha > 0 and radius_scope == "epoch":
-            radius = compute_radius(encode_all(params.encoder, graphs))
+    def epoch_batches(epoch):
+        if hyper.alpha > 0:
+            ctx.radius = compute_radius(encode_all(params.encoder, graphs))
         order = rng.permutation(len(train))
-        sums = {"ce": 0.0, "cl": 0.0, "total": 0.0}
-        for batch_no, start in enumerate(range(0, len(train), hyper.batch_size)):
-            idx = order[start : start + hyper.batch_size]
-            batch_graphs = [graphs[i] for i in idx]
-            batch_labels = [labels[i] for i in idx]
+        return [order[s : s + hyper.batch_size] for s in range(0, len(train), hyper.batch_size)]
 
-            r_original = encode_batch_node(enc_nodes, batch_graphs, arch.pooling)
-            logits = _affine_node(r_original, nodes["classifier.weight"], nodes["classifier.bias"])
-            loss_ce = ce_loss(logits, batch_labels)
+    def batch_loss(nodes, idx, epoch):
+        enc_nodes = [nodes[f"encoder.layer.{i}"] for i in range(arch.n_layers)]
+        r_original = encode_batch_node(enc_nodes, [graphs[i] for i in idx], arch.pooling)
+        logits = _affine_node(r_original, nodes["classifier.weight"], nodes["classifier.bias"])
+        loss_ce = ce_loss(logits, [train[i].label for i in idx])
+        if hyper.alpha == 0:
+            return loss_ce, float(loss_ce.value[0, 0]), 0.0
+        offsets = np.zeros_like(r_original.value)
+        for row, i in enumerate(idx):
+            aug = augment(r_original.value[row], ctx, params.classifier.apply, train[i].label,
+                          sample_id=train[i].id, epoch=epoch)
+            offsets[row] = aug - r_original.value[row]
+        r_augmented = ad.add(r_original, ad.const(offsets))
+        loss_cl = contrastive_loss(_projection_node(r_original, nodes),
+                                   _projection_node(r_augmented, nodes))
+        loss = ad.add(loss_ce, ad.scale(loss_cl, hyper.alpha))
+        return loss, float(loss_ce.value[0, 0]), float(loss_cl.value[0, 0])
 
-            if hyper.alpha > 0:
-                if radius_scope == "batch":
-                    radius = compute_radius(r_original.value)
-                ctx = AugmentationContext(radius=radius, num_candidates=num_candidates,
-                                          rng_seed=seed)
-                classify = params.classifier.apply
-                offsets = np.zeros_like(r_original.value)
-                for row, i in enumerate(idx):
-                    aug = augment(r_original.value[row], ctx, classify, labels[i],
-                                  sample_id=train[i].id, epoch=epoch)
-                    offsets[row] = aug.vector - r_original.value[row]
-                r_augmented = ad.add(r_original, ad.const(offsets))
-                p_original = _projection_node(r_original, nodes)
-                p_augmented = _projection_node(r_augmented, nodes)
-                loss_cl = contrastive_loss(p_original, p_augmented)
-                loss = ad.add(loss_ce, ad.scale(loss_cl, hyper.alpha))
-                cl_value = float(loss_cl.value[0, 0])
-            else:
-                loss = loss_ce
-                cl_value = 0.0
-
-            if not np.isfinite(loss.value[0, 0]):
-                raise TrainingError(f"non-finite loss at epoch {epoch} batch {batch_no}")
-            for n in ordered:
-                nodes[n].grad[...] = 0.0
-            ad.backward(loss)
-            ad.adam_step(arrays, [nodes[n].grad for n in ordered], state, lr=hyper.lr)
-
-            weight = len(idx)
-            sums["ce"] += float(loss_ce.value[0, 0]) * weight
-            sums["cl"] += cl_value * weight
-            sums["total"] += float(loss.value[0, 0]) * weight
-
-        val_acc = _accuracy(params.encoder, params.classifier, val)
-        log.append({
-            "epoch": epoch,
-            "loss_ce": sums["ce"] / len(train),
-            "loss_cl": sums["cl"] / len(train),
-            "loss_total": sums["total"] / len(train),
-            "val_acc": val_acc,
-        })
-        if val and val_acc > best_acc:
-            best_acc = val_acc
-            best = params.copy()
-
-    return (best if best is not None else params.copy()), log
+    return _fit(params, hyper, len(train), val, target_logits, epoch_batches, batch_loss)
 
 
 def train_event_only(
@@ -410,76 +386,27 @@ def train_event_only(
     Batches keep whole events together so within-batch event means are
     meaningful.  Log rows match train_target's schema with loss_cl == 0.
     """
-    hyper.validate()
     arch = arch or ArchConfig()
-    train = _resolve_split(ds, train_ids)
-    val = _resolve_split(ds, val_ids)
-    if not train:
-        raise ValueError("train split is empty")
-    n_classes = ds.n_classes
-    rng = np.random.default_rng(seed)
+    train, val, rng, encoder, classifier = _setup(ds, train_ids, val_ids, hyper, seed, arch)
+    params = EventOnlyPredictorParams(encoder=encoder, classifier=classifier)
 
-    params = EventOnlyPredictorParams(
-        encoder=init_encoder(ds.feature_dim, arch.hidden_dim, arch.n_layers, rng, arch.pooling),
-        classifier=AffineParams(
-            w=rng.normal(0.0, np.sqrt(1.0 / arch.hidden_dim), (arch.hidden_dim, n_classes)),
-            b=np.zeros((1, n_classes)),
-        ),
-    )
-    nodes = {name: ad.param(tensor) for name, tensor in params.named_tensors().items()
-             if name != "encoder.pooling_mode"}
-    enc_nodes = [nodes[f"encoder.layer.{i}"] for i in range(arch.n_layers)]
-    ordered = sorted(nodes)
-    arrays = [nodes[n].value for n in ordered]
-    state = ad.adam_init(arrays)
+    def batch_loss(nodes, idx, epoch):
+        insts = [train[i] for i in idx]
+        enc_nodes = [nodes[f"encoder.layer.{i}"] for i in range(arch.n_layers)]
+        reps = encode_batch_node(enc_nodes, [i.graph for i in insts], arch.pooling)
+        # expand maps each instance to its event's column; group averages
+        # each event's rows.
+        events = [i.event for i in insts]
+        names = list(dict.fromkeys(events))
+        expand = np.eye(len(names))[[names.index(e) for e in events]]
+        group = expand.T / expand.sum(axis=0)[:, None]
+        means = ad.matmul(ad.const(group), reps)
+        event_logits = _affine_node(means, nodes["classifier.weight"], nodes["classifier.bias"])
+        loss = ce_loss(ad.matmul(ad.const(expand), event_logits), [i.label for i in insts])
+        return loss, float(loss.value[0, 0]), 0.0
 
-    log: list[dict] = []
-    best: EventOnlyPredictorParams | None = None
-    best_acc = -1.0
-
-    for epoch in range(hyper.epochs):
-        batches = _event_batches(train, hyper.batch_size, rng)
-        sums = 0.0
-        for batch_no, idx in enumerate(batches):
-            insts = [train[i] for i in idx]
-            reps = encode_batch_node(enc_nodes, [i.graph for i in insts], arch.pooling)
-
-            events = [i.event for i in insts]
-            names = list(dict.fromkeys(events))
-            group = np.zeros((len(names), len(insts)))
-            expand = np.zeros((len(insts), len(names)))
-            for row, e in enumerate(events):
-                col = names.index(e)
-                expand[row, col] = 1.0
-            for col, e in enumerate(names):
-                members = [r for r, ev in enumerate(events) if ev == e]
-                group[col, members] = 1.0 / len(members)
-
-            means = ad.matmul(ad.const(group), reps)
-            event_logits = _affine_node(means, nodes["classifier.weight"], nodes["classifier.bias"])
-            logits = ad.matmul(ad.const(expand), event_logits)
-            loss = ce_loss(logits, [i.label for i in insts])
-            if not np.isfinite(loss.value[0, 0]):
-                raise TrainingError(f"non-finite loss at epoch {epoch} batch {batch_no}")
-            for n in ordered:
-                nodes[n].grad[...] = 0.0
-            ad.backward(loss)
-            ad.adam_step(arrays, [nodes[n].grad for n in ordered], state, lr=hyper.lr)
-            sums += float(loss.value[0, 0]) * len(idx)
-
-        val_acc = _event_accuracy(params, val)
-        log.append({
-            "epoch": epoch,
-            "loss_ce": sums / len(train),
-            "loss_cl": 0.0,
-            "loss_total": sums / len(train),
-            "val_acc": val_acc,
-        })
-        if val and val_acc > best_acc:
-            best_acc = val_acc
-            best = params.copy()
-
-    return (best if best is not None else params.copy()), log
+    return _fit(params, hyper, len(train), val, event_only_logits,
+                lambda epoch: _event_batches(train, hyper.batch_size, rng), batch_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -507,35 +434,43 @@ def save_checkpoint(params, path) -> None:
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"corrupt checkpoint: truncated while reading {what}")
-    return data
-
-
 def load_checkpoint(path):
-    """Read a checkpoint back into target or event-only parameter objects."""
+    """Read a checkpoint back into target or event-only parameter objects.
+
+    Every length field is checked against the bytes left in the file before
+    it is used, so a corrupt file raises CheckpointError naming the file.
+    """
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != MAGIC:
-            raise CheckpointError("corrupt checkpoint: bad magic bytes")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format version {version} unsupported (expected {FORMAT_VERSION})"
-            )
-        tensors: dict[str, np.ndarray] = {}
-        while True:
-            prefix = fh.read(8)
-            if not prefix:
-                break
-            if len(prefix) != 8:
-                raise CheckpointError("corrupt checkpoint: truncated name length")
-            (name_len,) = struct.unpack("<Q", prefix)
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-            rows, cols = struct.unpack("<QQ", _read_exact(fh, 16, f"shape of {name}"))
-            raw = _read_exact(fh, rows * cols * 8, f"data of {name}")
+        blob = fh.read()
+    pos = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise CheckpointError(f"corrupt checkpoint {path}: truncated while reading {what}")
+        pos += n
+        return blob[pos - n : pos]
+
+    if take(4, "magic") != MAGIC:
+        raise CheckpointError(f"corrupt checkpoint {path}: bad magic bytes")
+    (version,) = struct.unpack("<I", take(4, "version"))
+    if version != FORMAT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path}: format version {version} unsupported (expected {FORMAT_VERSION})"
+        )
+    tensors: dict[str, np.ndarray] = {}
+    while pos < len(blob):
+        (name_len,) = struct.unpack("<Q", take(8, "name length"))
+        try:
+            name = take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"corrupt checkpoint {path}: tensor name is not UTF-8") from None
+        rows, cols = struct.unpack("<QQ", take(16, f"shape of {name}"))
+        raw = take(rows * cols * 8, f"data of {name}")
+        try:
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        except ValueError:
+            raise CheckpointError(f"corrupt checkpoint {path}: bad shape of {name}") from None
 
     try:
         pooling_mode = tensors.pop("encoder.pooling_mode")
@@ -559,4 +494,6 @@ def load_checkpoint(path):
             )
         return EventOnlyPredictorParams(encoder=encoder, classifier=classifier)
     except KeyError as e:
-        raise CheckpointError(f"corrupt checkpoint: missing tensor {e}") from None
+        raise CheckpointError(f"corrupt checkpoint {path}: missing tensor {e}") from None
+    except (IndexError, ValueError) as e:  # an empty pooling flag, a non-numeric layer index
+        raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None

@@ -185,18 +185,31 @@ def save_manifest(manifest: SplitManifest, path) -> None:
 
 
 def load_manifest(path, ds: Dataset | None = None) -> SplitManifest:
-    """Read a manifest; event sets are rebuilt when the dataset is supplied."""
+    """Read a manifest; event sets are rebuilt when the dataset is supplied.
+
+    The file must hold a JSON object with lists of string ids under
+    ``train``, ``val`` and ``test`` and an integer ``seed``.
+    """
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        manifest = SplitManifest(
-            train_ids=list(payload["train"]),
-            val_ids=list(payload["val"]),
-            test_ids=list(payload["test"]),
-            seed=int(payload["seed"]),
-        )
-    except KeyError as e:
-        raise SplitError(f"manifest missing field {e}") from None
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise SplitError(f"manifest {path}: bad JSON: {e}") from None
+    if not isinstance(payload, dict):
+        raise SplitError(f"manifest {path}: expected a JSON object")
+    for key in ("train", "val", "test", "seed"):
+        if key not in payload:
+            raise SplitError(f"manifest {path}: missing field {key!r}")
+    for key in ("train", "val", "test"):
+        ids = payload[key]
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise SplitError(f"manifest {path}: field {key!r} must be a list of string ids")
+    if not isinstance(payload["seed"], int) or isinstance(payload["seed"], bool):
+        raise SplitError(f"manifest {path}: field 'seed' must be an integer")
+    manifest = SplitManifest(
+        train_ids=payload["train"], val_ids=payload["val"], test_ids=payload["test"],
+        seed=payload["seed"],
+    )
     if ds is not None:
         events_of = {i.id: i.event for i in ds.instances}
         try:
@@ -204,5 +217,5 @@ def load_manifest(path, ds: Dataset | None = None) -> SplitManifest:
             manifest.val_events = {events_of[i] for i in manifest.val_ids}
             manifest.test_events = {events_of[i] for i in manifest.test_ids}
         except KeyError as e:
-            raise SplitError(f"manifest references unknown instance id {e}") from None
+            raise SplitError(f"manifest {path}: unknown instance id {e}") from None
     return manifest

@@ -116,13 +116,8 @@ def _tree_edges(n: int, profile: str, rng: np.random.Generator) -> list[list[int
     return [[int(rng.integers(0, j)), j] for j in range(1, n)]
 
 
-def generate(cfg: SynthConfig, return_metadata: bool = False):
-    """Build a dataset per the config; deterministic for a given seed.
-
-    With ``return_metadata`` the per-event generation record (biased flag,
-    shared label, style class) comes back alongside the dataset, for
-    analysis only — nothing downstream may depend on it.
-    """
+def generate(cfg: SynthConfig) -> Dataset:
+    """Build a dataset per the config; deterministic for a given seed."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     class_signals = np.stack(
@@ -130,7 +125,6 @@ def generate(cfg: SynthConfig, return_metadata: bool = False):
     )
     styles = np.stack([_unit(rng, cfg.feature_dim) for _ in range(cfg.n_classes)])
     instances = []
-    metadata: dict[str, dict] = {}
     for e in range(cfg.n_events):
         event = f"synthetic-event-{e:03d}"
         biased = rng.random() < cfg.bias_strength
@@ -143,13 +137,7 @@ def generate(cfg: SynthConfig, return_metadata: bool = False):
             raw = styles[style_class] + cfg.signature_diversity * _unit(rng, cfg.feature_dim)
             signature = raw / np.linalg.norm(raw) * cfg.signature_strength
         else:
-            style_class = -1
             signature = _unit(rng, cfg.feature_dim) * 0.1 * cfg.signature_strength
-        metadata[event] = {
-            "biased": biased,
-            "shared_label": shared_label if biased else None,
-            "style_class": style_class if biased else None,
-        }
         if cfg.size_sigma > 0:
             size = max(
                 1,
@@ -188,7 +176,7 @@ def generate(cfg: SynthConfig, return_metadata: bool = False):
         instances=instances,
     )
     ds.validate()
-    return (ds, metadata) if return_metadata else ds
+    return ds
 
 
 def bias_report(ds: Dataset) -> dict:

@@ -10,31 +10,30 @@ from fade.augmentation import (
     sample_unit_vector,
     select_augmentation,
 )
-from fade.encoder import Representation
 
 
 class TestComputeRadius:
     def test_symmetric_pair(self):
-        assert compute_radius([np.array([0.0, 0.0]), np.array([2.0, 0.0])]) == 1.0
+        assert compute_radius(np.array([[0.0, 0.0], [2.0, 0.0]])) == 1.0
 
     def test_single_rep_is_zero(self):
-        assert compute_radius([np.array([3.0, -1.0])]) == 0.0
+        assert compute_radius(np.array([[3.0, -1.0]])) == 0.0
 
     def test_matches_two_pass_brute_force(self):
         rng = np.random.default_rng(0)
         reps = [rng.normal(size=8) for _ in range(10)]
         centroid = sum(reps) / 10
         expected = sum(np.linalg.norm(centroid - r) for r in reps) / 10
-        assert abs(compute_radius(reps) - expected) < 1e-12
+        assert abs(compute_radius(np.vstack(reps)) - expected) < 1e-12
 
-    def test_accepts_representation_objects_and_matrix(self):
-        reps = [Representation(np.array([[0.0, 0.0]])), Representation(np.array([[2.0, 0.0]]))]
-        assert compute_radius(reps) == 1.0
-        assert compute_radius(np.array([[0.0, 0.0], [2.0, 0.0]])) == 1.0
+    def test_rows_of_a_matrix_are_the_representations(self):
+        # as rows: centroid (2, 0), distances 2, 0, 2; as columns it would be sqrt(5)
+        mat = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
+        assert compute_radius(mat) == pytest.approx(4.0 / 3.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            compute_radius([])
+            compute_radius(np.zeros((0, 3)))
 
 
 class TestUnitVector:
@@ -71,8 +70,8 @@ class TestSelection:
         ctx = AugmentationContext(radius=0.0, num_candidates=4, rng_seed=0)
         rep = np.array([[1.0, 0.5]])
         out = augment(rep, ctx, self.linear_classifier, label=0)
-        assert np.array_equal(out.vector, rep)
-        assert out.origin == "augmented"
+        assert np.array_equal(out, rep)
+        assert out is not rep
 
     def test_hand_computed_margins_pick_smaller(self):
         rep = np.array([[1.0, 0.0]])
@@ -106,7 +105,7 @@ class TestSelection:
             label = int(np.argmax(classify(rep)))  # ensure label-preserving exists at rep
             out = augment(rep, ctx, classify, label, sample_id=f"s{trial}", epoch=3)
 
-            offset = out.vector - rep
+            offset = out - rep
             replay = derive_rng(123, f"s{trial}", 3)
             directions = [sample_unit_vector(8, replay) for _ in range(16)]
             kept = [
@@ -118,7 +117,7 @@ class TestSelection:
                 assert not kept  # fallback only when nothing survives
                 continue
             assert abs(np.linalg.norm(offset) - 0.7) < 1e-9
-            chosen_margin = margin(classify(out.vector), label)
+            chosen_margin = margin(classify(out), label)
             assert all(chosen_margin <= m + 1e-12 for m, _ in kept)
 
     def test_deterministic_per_seed(self):
@@ -129,7 +128,7 @@ class TestSelection:
         rep = rng.normal(size=(1, 5))
         a = augment(rep, ctx, classify, 0, sample_id="x", epoch=2)
         b = augment(rep, ctx, classify, 0, sample_id="x", epoch=2)
-        assert np.array_equal(a.vector, b.vector)
+        assert np.array_equal(a, b)
 
     def test_invalid_context_rejected(self):
         with pytest.raises(ValueError):

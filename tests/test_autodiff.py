@@ -74,16 +74,16 @@ class TestElementwise:
         with pytest.raises(ad.ShapeError):
             ad.add(ad.const(np.zeros((1, 2))), ad.const(np.zeros((2, 1))))
 
-    @pytest.mark.parametrize("op", ["tanh", "exp", "relu"])
+    @pytest.mark.parametrize("op", ["exp", "relu"])
     def test_unary_gradients_match_finite_differences(self, op):
         rng = np.random.default_rng(3)
         # keep relu inputs away from the kink, where FD is ill-defined
         x_val = rng.uniform(-1, 1, (2, 3))
         x_val[np.abs(x_val) < 0.05] = 0.1
         x = ad.param(x_val)
-        loss = ad.sum_all(ad.elementwise(op, x))
+        loss = ad.sum_all(getattr(ad, op)(x))
         ad.backward(loss)
-        ref = {"tanh": np.tanh, "exp": np.exp, "relu": lambda v: np.maximum(v, 0.0)}[op]
+        ref = {"exp": np.exp, "relu": lambda v: np.maximum(v, 0.0)}[op]
         fd = numeric_grad(lambda: ref(x_val).sum(), x_val)
         assert rel_err(x.grad, fd) < 1e-4
 
@@ -93,7 +93,7 @@ class TestElementwise:
         a_val = rng.uniform(-1, 1, (3, 2))
         b_val = rng.uniform(-1, 1, (3, 2))
         a, b = ad.param(a_val), ad.param(b_val)
-        loss = ad.sum_all(ad.elementwise(op, a, b))
+        loss = ad.sum_all(getattr(ad, op)(a, b))
         ad.backward(loss)
         ref = {
             "add": lambda: (a_val + b_val).sum(),
@@ -111,17 +111,10 @@ class TestElementwise:
         fd = numeric_grad(lambda: np.log(x_val).sum(), x_val)
         assert rel_err(x.grad, fd) < 1e-4
 
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError, match="unknown elementwise"):
-            ad.elementwise("pow", ad.const([[1.0]]))
-
 
 class TestReduce:
     def test_mean(self):
         assert ad.mean_all(ad.const([2.0, 4.0, 6.0])).value[0, 0] == 4.0
-
-    def test_l2norm_345(self):
-        assert ad.l2norm(ad.const([3.0, 4.0])).value[0, 0] == 5.0
 
     def test_sum_gradient_all_ones(self):
         x = ad.param(np.arange(6.0).reshape(2, 3))
@@ -135,29 +128,9 @@ class TestReduce:
         ad.backward(ad.sum_all(out))
         assert np.array_equal(x.grad, np.ones((2, 2)))
 
-    def test_l2norm_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(6)
-        x_val = rng.uniform(0.5, 1.0, (1, 4))
-        x = ad.param(x_val)
-        ad.backward(ad.l2norm(x))
-        fd = numeric_grad(lambda: np.linalg.norm(x_val), x_val)
-        assert rel_err(x.grad, fd) < 1e-4
-
-    def test_l2norm_zero_vector_zero_gradient(self):
-        x = ad.param(np.zeros((1, 3)))
-        ad.backward(ad.l2norm(x))
-        assert np.array_equal(x.grad, np.zeros((1, 3)))
-
-    def test_l2norm_rejects_matrix(self):
-        with pytest.raises(ad.ShapeError):
-            ad.l2norm(ad.const(np.ones((2, 2))))
-
     def test_empty_input_rejected(self):
         with pytest.raises(ad.ShapeError, match="empty"):
             ad.sum_all(ad.const(np.zeros((0, 3))))
-
-    def test_reduce_dispatcher(self):
-        assert ad.reduce_op("mean", ad.const([1.0, 3.0])).value[0, 0] == 2.0
 
 
 class TestBackward:
@@ -187,13 +160,18 @@ class TestBackward:
         rng = np.random.default_rng(7)
         a = ad.param(rng.uniform(-1, 1, (3, 3)))
         b = ad.param(rng.uniform(-1, 1, (3, 3)))
-        loss = ad.sum_all(ad.tanh(ad.matmul(a, b)))
-        ad.backward(loss)
-        first_a, first_b = a.grad.copy(), b.grad.copy()
-        ad.zero_grad(loss)
-        ad.backward(loss)
-        assert np.array_equal(a.grad, first_a)
-        assert np.array_equal(b.grad, first_b)
+
+        def grads():
+            # the trainers' pattern: zero the parameter gradients, rebuild the graph
+            a.grad[...] = 0.0
+            b.grad[...] = 0.0
+            ad.backward(ad.sum_all(ad.exp(ad.matmul(a, b))))
+            return a.grad.copy(), b.grad.copy()
+
+        first_a, first_b = grads()
+        second_a, second_b = grads()
+        assert np.array_equal(second_a, first_a)
+        assert np.array_equal(second_b, first_b)
 
 
 class TestComposites:

@@ -193,13 +193,39 @@ def test_missing_data_file_exits_3(tmp_path, capsys):
 
 
 def test_corrupt_checkpoint_exits_3(workspace, tmp_path, capsys):
-    bad = tmp_path / "badrun"
-    bad.mkdir()
-    (bad / "target.ckpt").write_bytes(b"not a checkpoint")
-    (bad / "event_only.ckpt").write_bytes(b"not a checkpoint")
-    rc = main(["eval", "--data", workspace["data"], "--split", workspace["manifest"],
-               "--run", str(bad), "--beta", "0"])
+    inputs = [b"not a checkpoint"]
+    # A high bit in the first name length or row count, a 0xff name byte.
+    for offset, bits in ((15, 0x80), (43, 0x80), (16, 0xFF)):
+        blob = bytearray((workspace["root"] / "run" / "target.ckpt").read_bytes())
+        blob[offset] |= bits
+        inputs.append(bytes(blob))
+    for n, blob in enumerate(inputs):
+        bad = tmp_path / f"badrun{n}"
+        bad.mkdir()
+        (bad / "target.ckpt").write_bytes(blob)
+        (bad / "event_only.ckpt").write_bytes(blob)
+        rc = main(["eval", "--data", workspace["data"], "--split", workspace["manifest"],
+                   "--run", str(bad), "--beta", "0"])
+        assert rc == 3, n
+        assert str(bad / "target.ckpt") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, field", [
+    ("[]", "object"),
+    ('{"seed": 0, "train": 5, "val": [], "test": []}', "'train'"),
+    ('{"seed": 0, "train": [[1]], "val": [], "test": []}', "'train'"),
+    ('{"seed": 0, "train": [], "val": [], "test": [3]}', "'test'"),
+    ('{"seed": "0", "train": [], "val": [], "test": []}', "'seed'"),
+    ('{"seed": 0, "train": []', "JSON"),
+])
+def test_malformed_manifest_exits_3_naming_file_and_field(workspace, tmp_path, capsys, text, field):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(text)
+    rc = main(["train", "--data", workspace["data"], "--split", str(manifest),
+               "--out", str(tmp_path / "z"), *FAST])
     assert rc == 3
+    err = capsys.readouterr().err
+    assert str(manifest) in err and field in err
 
 
 def test_too_few_events_exits_3(tmp_path, capsys):

@@ -93,8 +93,6 @@ def test_validate_rejects_bad_values():
         "split_mode = diagonal",
         "beta = -0.5",
         "ablate_seeds = 0",
-        "workers = -1",
-        "radius_scope = run",
         "pooling = max",
         "lr = 0",
         "val_fraction = 1.5",

@@ -5,7 +5,6 @@ from fade.autodiff import ShapeError, backward, param, sum_all
 from fade.data import PropagationGraph
 from fade.encoder import (
     EncoderParams,
-    encode,
     encode_all,
     encode_batch_node,
     init_encoder,
@@ -36,15 +35,14 @@ class TestEncode:
         x = np.array([[0.5, -2.0, 3.0]])
         g = PropagationGraph(n=1, x=x, edges=[])
         params = EncoderParams(layers=[np.eye(3)], pooling="mean")
-        rep = encode(params, g)
-        assert np.allclose(rep.vector, np.maximum(x, 0.0), atol=1e-15)
-        assert rep.origin == "original"
+        rep = encode_all(params, [g])
+        assert np.allclose(rep, np.maximum(x, 0.0), atol=1e-15)
 
     def test_zero_features_give_zero_representation(self):
         rng = np.random.default_rng(0)
         g = PropagationGraph(n=4, x=np.zeros((4, 5)), edges=[(0, 1), (0, 2), (2, 3)])
         params = init_encoder(5, 8, 2, rng)
-        assert np.array_equal(encode(params, g).vector, np.zeros((1, 8)))
+        assert np.array_equal(encode_all(params, [g]), np.zeros((1, 8)))
 
     @pytest.mark.parametrize("pooling", ["mean", "add"])
     def test_path_graph_matches_brute_force(self, pooling):
@@ -52,13 +50,13 @@ class TestEncode:
         g = PropagationGraph(n=3, x=rng.normal(size=(3, 4)), edges=[(0, 1), (1, 2)])
         params = init_encoder(4, 6, 2, rng, pooling=pooling)
         expected = brute_force_encode(params.layers, g, pooling)
-        assert np.max(np.abs(encode(params, g).vector - expected)) < 1e-10
+        assert np.max(np.abs(encode_all(params, [g]) - expected)) < 1e-10
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         g = random_tree(rng, 6, 4)
         params = init_encoder(4, 8, 2, rng)
-        base = encode(params, g).vector
+        base = encode_all(params, [g])
 
         perm = rng.permutation(6)
         inv = np.argsort(perm)
@@ -66,19 +64,19 @@ class TestEncode:
         x2 = g.x[inv]
         edges2 = [(int(perm[p]), int(perm[c])) for p, c in g.edges]
         g2 = PropagationGraph(n=6, x=x2, edges=edges2)
-        assert np.max(np.abs(encode(params, g2).vector - base)) < 1e-9
+        assert np.max(np.abs(encode_all(params, [g2]) - base)) < 1e-9
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         g = random_tree(rng, 5, 4)
         params = init_encoder(4, 8, 2, rng)
-        assert np.array_equal(encode(params, g).vector, encode(params, g).vector)
+        assert np.array_equal(encode_all(params, [g]), encode_all(params, [g]))
 
     def test_dimension_mismatch_raises(self):
         g = PropagationGraph(n=2, x=np.zeros((2, 3)), edges=[(0, 1)])
         params = EncoderParams(layers=[np.zeros((4, 8))])
         with pytest.raises(ShapeError):
-            encode(params, g)
+            encode_all(params, [g])
 
     def test_bad_layer_chain_rejected(self):
         params = EncoderParams(layers=[np.zeros((3, 8)), np.zeros((7, 8))])
@@ -92,7 +90,7 @@ class TestBatched:
         graphs = [random_tree(rng, int(rng.integers(1, 7)), 4) for _ in range(9)]
         params = init_encoder(4, 8, 2, rng)
         batched = encode_all(params, graphs, chunk=4)
-        singles = np.vstack([encode(params, g).vector for g in graphs])
+        singles = np.vstack([encode_all(params, [g]) for g in graphs])
         assert np.max(np.abs(batched - singles)) < 1e-10
 
     def test_empty_batch(self):

@@ -5,7 +5,6 @@ from fade import autodiff as ad
 from fade.autodiff import TrainingError
 from fade.data import Dataset, NewsInstance, PropagationGraph
 from fade.predictors import (
-    AffineParams,
     ArchConfig,
     CheckpointError,
     EventOnlyPredictorParams,
@@ -297,17 +296,59 @@ def test_train_target_total_is_ce_plus_alpha_cl():
         assert abs(row["loss_total"] - (row["loss_ce"] + alpha * row["loss_cl"])) < 1e-9
 
 
-def test_train_target_returns_best_validation_params():
-    ds = make_dataset(seed=6)
-    train, val = split_ids(ds, 3)
-    params, log = train_target(
-        ds, train, val, Hyperparams(alpha=0.3, epochs=6, batch_size=8), seed=3, arch=SMALL
-    )
+def skewed_event_dataset(seed, n_events=6, per_event=8, dim=6):
+    """Each event has its own feature centre and a 3:1 label skew toward event % 2."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=2.0, size=(n_events, dim))
+    insts = []
+    for e in range(n_events):
+        for k in range(per_event):
+            label = e % 2 if k < per_event * 3 // 4 else 1 - e % 2
+            nodes = int(rng.integers(2, 5))
+            insts.append(
+                NewsInstance(
+                    id=f"n{e}-{k}",
+                    graph=PropagationGraph(
+                        n=nodes,
+                        x=rng.normal(size=(nodes, dim)) + centers[e] + label,
+                        edges=[[0, j] for j in range(1, nodes)],
+                    ),
+                    label=label,
+                    event=f"event-{e}",
+                )
+            )
+    ds = Dataset(class_names=["c0", "c1"], feature_dim=dim, instances=insts)
+    ds.validate()
+    return ds
+
+
+def check_returns_best_validation_params(trainer, forward):
+    # On this data and seed both trainers peak on validation before the last
+    # epoch, so returning the last weights instead of the best copy shows.
+    ds = skewed_event_dataset(seed=0)
+    train, val = split_ids(ds, 4)
+    hp = Hyperparams(alpha=0.3, epochs=6, batch_size=8, lr=3e-2)
+    params, log = trainer(ds, train, val, hp, seed=3, arch=SMALL)
+    accs = [row["val_acc"] for row in log]
+    assert max(accs) > accs[-1]
     val_insts = [ds.by_id()[i] for i in val]
     reps = encode_all(params.encoder, [i.graph for i in val_insts])
-    preds = np.argmax(params.classifier.apply(reps), axis=1)
+    preds = np.argmax(forward(params, reps, [i.event for i in val_insts]), axis=1)
     acc = float(np.mean(preds == [i.label for i in val_insts]))
-    assert abs(acc - max(row["val_acc"] for row in log)) < 1e-12
+    assert abs(acc - max(accs)) < 1e-12
+
+
+def test_train_target_returns_best_validation_params():
+    check_returns_best_validation_params(
+        train_target, lambda params, reps, events: params.classifier.apply(reps)
+    )
+
+
+def test_train_event_only_returns_best_validation_params():
+    check_returns_best_validation_params(
+        train_event_only,
+        lambda params, reps, events: params.classifier.apply(event_mean_pool(reps, events)),
+    )
 
 
 def test_train_target_learns_separable_data():
@@ -522,13 +563,34 @@ def test_checkpoint_wrong_version(tmp_path):
         load_checkpoint(path)
 
 
+def flip(blob: bytes, offset: int, bits: int) -> bytes:
+    out = bytearray(blob)
+    out[offset] |= bits
+    return bytes(out)
+
+
+# Byte offsets in a checkpoint: magic 0-3, version 4-7, then the first
+# tensor's name length 8-15, its 20-byte name 16-35 and its row count 36-43.
 def test_checkpoint_truncated(tmp_path):
     target, _ = trained_pair(tmp_path)
     path = tmp_path / "trunc.ckpt"
     save_checkpoint(target, path)
     blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) - 7])
-    with pytest.raises(CheckpointError, match="truncated"):
+    # A cut file, then length fields that claim more bytes than the file has:
+    # a high bit in the name length (once a MemoryError) or in the row count
+    # (once an OverflowError).
+    for bad in (blob[: len(blob) - 7], flip(blob, 15, 0x80), flip(blob, 43, 0x80)):
+        path.write_bytes(bad)
+        with pytest.raises(CheckpointError, match="trunc.ckpt: truncated"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_name_not_utf8(tmp_path):
+    target, _ = trained_pair(tmp_path)
+    path = tmp_path / "name.ckpt"
+    save_checkpoint(target, path)
+    path.write_bytes(flip(path.read_bytes(), 16, 0xFF))  # once a UnicodeDecodeError
+    with pytest.raises(CheckpointError, match="name.ckpt: tensor name"):
         load_checkpoint(path)
 
 
