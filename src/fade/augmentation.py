@@ -108,15 +108,32 @@ def augment(
 ) -> np.ndarray:
     """Augmented representation for one sample, as a (1, dim) row.
 
-    ``classify_fn`` maps a (1, dim) row to (1, n_classes) logits and should
-    be the target classifier's state at the start of the step.  The offset
-    added here is data: gradients flow through the original representation
-    only.
+    ``classify_fn`` should be the target classifier's state at the start of
+    the step.  It is called once, on the (K, 1, dim) stack of all K
+    candidates, and must return (K, 1, n_classes) logits that score each
+    (1, dim) slice on its own, as ``x @ w + b`` does.  The result is then
+    the same, bit for bit, as :func:`select_augmentation` over K
+    :func:`sample_unit_vector` draws from the same stream, except that an
+    all-zero draw raises ValueError instead of being drawn again.  The
+    offset added here is data: gradients flow through the original
+    representation only.
     """
     ctx.validate()
     vector = np.asarray(rep, dtype=np.float64).reshape(1, -1)
     if ctx.radius == 0.0:
         return vector.copy()
     rng = derive_rng(ctx.rng_seed, sample_id, epoch)
-    directions = [sample_unit_vector(vector.shape[1], rng) for _ in range(ctx.num_candidates)]
-    return select_augmentation(vector, ctx.radius, directions, classify_fn, label)[0]
+    raw = rng.standard_normal((ctx.num_candidates, vector.shape[1]))
+    # A stacked (1, d) @ (d, 1) product per row is the same dot product that
+    # np.linalg.norm takes of a 1-D row; norm(axis=1) rounds differently.
+    norms = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None])[:, 0, 0])
+    if not np.all(norms > 0):
+        raise ValueError("augment: drew an all-zero direction")
+    candidates = vector + ctx.radius * (raw / norms[:, None])
+    logits = classify_fn(candidates[:, None, :])[:, 0, :]
+    kept = np.flatnonzero(np.argmax(logits, axis=1) == label)
+    if kept.size == 0:
+        return vector.copy()
+    z = logits[kept]
+    margins = z[:, label] - np.delete(z, label, axis=1).max(axis=1)
+    return candidates[kept[np.argmin(margins)]].reshape(1, -1)

@@ -74,14 +74,17 @@ class Node:
 
     ``parents`` and ``_rule`` encode the local backward rule; leaves have
     neither.  ``is_param`` marks leaves whose gradients the optimizer reads.
+    Only parameters and the nodes they reach carry a gradient; for the rest
+    (constants and ops on constants only) ``grad`` is None, backward rules
+    skip them, and they are left out of ``parents``.
     """
 
     __slots__ = ("value", "grad", "parents", "_rule", "is_param")
 
     def __init__(self, value, parents=(), rule=None, is_param=False):
         self.value = as_matrix(value)
-        self.grad = np.zeros_like(self.value)
-        self.parents = tuple(parents)
+        self.parents = tuple(p for p in parents if p.grad is not None)
+        self.grad = np.zeros_like(self.value) if is_param or self.parents else None
         self._rule = rule
         self.is_param = is_param
 
@@ -90,7 +93,7 @@ class Node:
         return self.value.shape
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        kind = "param" if self.is_param else ("leaf" if not self.parents else "op")
+        kind = "param" if self.is_param else ("leaf" if self._rule is None else "op")
         return f"Node({kind}, shape={self.value.shape})"
 
 
@@ -118,8 +121,10 @@ def matmul(a: Node, b: Node) -> Node:
     out = Node(a.value @ b.value, (a, b))
 
     def rule(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        if a.grad is not None:
+            a.grad += g @ b.value.T
+        if b.grad is not None:
+            b.grad += a.value.T @ g
 
     out._rule = rule
     return out
@@ -130,8 +135,10 @@ def add(a: Node, b: Node) -> Node:
     out = Node(a.value + b.value, (a, b))
 
     def rule(g):
-        a.grad += g
-        b.grad += g
+        if a.grad is not None:
+            a.grad += g
+        if b.grad is not None:
+            b.grad += g
 
     out._rule = rule
     return out
@@ -142,8 +149,10 @@ def sub(a: Node, b: Node) -> Node:
     out = Node(a.value - b.value, (a, b))
 
     def rule(g):
-        a.grad += g
-        b.grad -= g
+        if a.grad is not None:
+            a.grad += g
+        if b.grad is not None:
+            b.grad -= g
 
     out._rule = rule
     return out
@@ -201,8 +210,10 @@ def hadamard(a: Node, b: Node) -> Node:
     out = Node(a.value * b.value, (a, b))
 
     def rule(g):
-        a.grad += g * b.value
-        b.grad += g * a.value
+        if a.grad is not None:
+            a.grad += g * b.value
+        if b.grad is not None:
+            b.grad += g * a.value
 
     out._rule = rule
     return out
@@ -281,10 +292,13 @@ def _toposort(root: Node) -> list[Node]:
 def backward(loss: Node) -> dict[Node, np.ndarray]:
     """Accumulate dloss/dnode into every node reachable from ``loss``.
 
-    Returns the gradients of parameter leaves, keyed by Node.
+    Returns the gradients of parameter leaves, keyed by Node; empty when no
+    parameter reaches ``loss``.
     """
     if loss.value.shape != (1, 1):
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
+    if loss.grad is None:
+        return {}
     order = _toposort(loss)
     loss.grad += 1.0
     for node in reversed(order):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,15 @@ class PropagationGraph:
     n: int
     x: np.ndarray  # (n, feature_dim) float64
     edges: list[list[int]]
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """``normalized_adjacency(self)``, built on first use and kept.
+
+        Graphs are not changed after construction, so the cache stays valid;
+        loading does not build it.
+        """
+        return normalized_adjacency(self)
 
     def validate(self, instance_id: str = "?") -> None:
         if self.n < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, ShapeError, const, matmul, relu
-from .data import PropagationGraph, normalized_adjacency
+from .data import PropagationGraph
 
 __all__ = [
     "EncoderParams",
@@ -79,7 +79,7 @@ def _batch_parts(graphs: list[PropagationGraph]) -> tuple[np.ndarray, np.ndarray
     blk = np.zeros((total, total))
     offset = 0
     for g in graphs:
-        blk[offset : offset + g.n, offset : offset + g.n] = normalized_adjacency(g)
+        blk[offset : offset + g.n, offset : offset + g.n] = g.adjacency
         offset += g.n
     return blk, np.vstack([g.x for g in graphs]), sizes
 

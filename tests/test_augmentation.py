@@ -93,21 +93,25 @@ class TestSelection:
         assert fallback and m is None
         assert np.array_equal(chosen, rep)
 
-    def test_random_classifier_selection_is_optimal(self):
+    @pytest.mark.parametrize("num_candidates", [1, 16])
+    @pytest.mark.parametrize("dim", [1, 8])
+    def test_random_classifier_selection_is_optimal(self, dim, num_candidates):
         rng = np.random.default_rng(7)
-        w = rng.normal(size=(8, 4))
+        w = rng.normal(size=(dim, 4))
         b = rng.normal(size=(1, 4))
         classify = lambda v: v @ w + b
 
-        ctx = AugmentationContext(radius=0.7, num_candidates=16, rng_seed=123)
+        ctx = AugmentationContext(radius=0.7, num_candidates=num_candidates, rng_seed=123)
         for trial in range(50):
-            rep = rng.normal(size=(1, 8))
+            rep = rng.normal(size=(1, dim))
             label = int(np.argmax(classify(rep)))  # ensure label-preserving exists at rep
             out = augment(rep, ctx, classify, label, sample_id=f"s{trial}", epoch=3)
 
             offset = out - rep
             replay = derive_rng(123, f"s{trial}", 3)
-            directions = [sample_unit_vector(8, replay) for _ in range(16)]
+            directions = [sample_unit_vector(dim, replay) for _ in range(num_candidates)]
+            # the per-candidate loop is the reference, bit for bit
+            assert np.array_equal(out, select_augmentation(rep, 0.7, directions, classify, label)[0])
             kept = [
                 (margin(classify(rep + 0.7 * d), label), d)
                 for d in directions
@@ -119,6 +123,16 @@ class TestSelection:
             assert abs(np.linalg.norm(offset) - 0.7) < 1e-9
             chosen_margin = margin(classify(out), label)
             assert all(chosen_margin <= m + 1e-12 for m, _ in kept)
+
+    def test_all_zero_direction_raises(self, monkeypatch):
+        class ZeroStream:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        monkeypatch.setattr("fade.augmentation.derive_rng", lambda *args: ZeroStream())
+        ctx = AugmentationContext(radius=0.5, num_candidates=3)
+        with pytest.raises(ValueError, match="all-zero direction"):
+            augment(np.ones((1, 2)), ctx, self.linear_classifier, 0)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(8)

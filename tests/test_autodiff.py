@@ -145,6 +145,22 @@ class TestBackward:
         ad.backward(loss)
         assert np.array_equal(w.grad, np.zeros((2, 2)))
 
+    def test_constants_get_no_gradient(self):
+        rng = np.random.default_rng(6)
+        n_val = rng.uniform(-1, 1, (4, 4))
+        w_val = rng.uniform(-1, 1, (4, 3))
+        n, w = ad.const(n_val), ad.param(w_val)
+        product = ad.matmul(n, w)
+        grads = ad.backward(ad.sum_all(ad.exp(product)))
+        assert n.grad is None and product.parents == (w,)
+        fd = numeric_grad(lambda: np.exp(n_val @ w_val).sum(), w_val)
+        assert rel_err(grads[w], fd) < 1e-4
+
+    def test_loss_without_parameters_returns_no_gradients(self):
+        loss = ad.sum_all(ad.matmul(ad.const(np.ones((2, 2))), ad.const(np.ones((2, 1)))))
+        assert loss.grad is None
+        assert ad.backward(loss) == {}
+
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ad.ShapeError, match="scalar"):
             ad.backward(ad.param(np.ones((2, 2))))

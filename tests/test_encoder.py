@@ -97,6 +97,27 @@ class TestBatched:
         params = init_encoder(4, 8, 2, np.random.default_rng(0))
         assert encode_all(params, []).shape == (0, 8)
 
+    def test_adjacency_built_once_per_graph(self, monkeypatch):
+        import fade.data
+
+        rng = np.random.default_rng(6)
+        graphs = [random_tree(rng, int(rng.integers(1, 7)), 4) for _ in range(5)]
+        params = init_encoder(4, 8, 2, rng)
+        calls = []
+        original = fade.data.normalized_adjacency
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(fade.data, "normalized_adjacency", counting)
+        first = encode_all(params, graphs, chunk=2)
+        second = encode_all(params, graphs, chunk=2)
+        assert len(calls) == len(graphs)
+        assert np.array_equal(first, second)
+        for g in graphs:
+            assert np.array_equal(g.adjacency, original(g))
+
     def test_gradients_flow_to_all_layers(self):
         rng = np.random.default_rng(5)
         graphs = [random_tree(rng, 4, 3) for _ in range(2)]

@@ -265,6 +265,35 @@ def test_train_target_same_seed_identical():
         assert np.array_equal(a, b)
 
 
+def test_train_target_checkpoint_matches_per_candidate_augmentation(tmp_path, monkeypatch):
+    """Training with the stacked augment writes the same bytes as the reference loop."""
+    import fade.predictors
+    from fade.augmentation import derive_rng, sample_unit_vector, select_augmentation
+
+    ds = make_dataset(seed=4)
+    train, val = split_ids(ds, 3)
+    hp = Hyperparams(alpha=0.3, epochs=3, batch_size=8)
+    params, log = train_target(ds, train, val, hp, seed=9, arch=SMALL)
+    save_checkpoint(params, tmp_path / "stacked.ckpt")
+
+    fallbacks = []
+
+    def per_candidate(rep, ctx, classify_fn, label, sample_id="", epoch=0):
+        vector = np.asarray(rep, dtype=np.float64).reshape(1, -1)
+        rng = derive_rng(ctx.rng_seed, sample_id, epoch)
+        directions = [sample_unit_vector(vector.shape[1], rng) for _ in range(ctx.num_candidates)]
+        out, fallback, _ = select_augmentation(vector, ctx.radius, directions, classify_fn, label)
+        fallbacks.append(fallback)
+        return out
+
+    monkeypatch.setattr(fade.predictors, "augment", per_candidate)
+    ref_params, ref_log = train_target(ds, train, val, hp, seed=9, arch=SMALL)
+    save_checkpoint(ref_params, tmp_path / "reference.ckpt")
+    assert fallbacks.count(False) > 0  # some samples really were moved
+    assert ref_log == log
+    assert (tmp_path / "stacked.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
+
+
 def test_train_target_different_seeds_differ():
     ds = make_dataset(seed=4)
     train, val = split_ids(ds, 3)
