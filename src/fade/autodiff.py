@@ -21,6 +21,7 @@ __all__ = [
     "param",
     "const",
     "matmul",
+    "propagate",
     "add",
     "sub",
     "scale",
@@ -125,6 +126,30 @@ def matmul(a: Node, b: Node) -> Node:
             a.grad += g @ b.value.T
         if b.grad is not None:
             b.grad += a.value.T @ g
+
+    out._rule = rule
+    return out
+
+
+def _bucket_product(buckets, a: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(a)
+    for rows, cols, weights in buckets:
+        out[rows] = np.matmul(weights, a[cols])[:, 0, :]
+    return out
+
+
+def propagate(buckets, a: Node) -> Node:
+    """Sparse product N @ a for a symmetric N given as degree buckets.
+
+    Each bucket ``(rows (R,), cols (R, k), weights (R, 1, k))`` holds the R
+    rows of N with k entries each (see ``data.degree_buckets``); a row no
+    bucket names is zero.  Since N is symmetric, the backward rule is the
+    same product applied to the output gradient.
+    """
+    out = Node(_bucket_product(buckets, a.value), (a,))
+
+    def rule(g):
+        a.grad += _bucket_product(buckets, g)
 
     out._rule = rule
     return out

@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import DomainError, ShapeError, TrainingError
 from .config import ConfigError, RunConfig, load_config
-from .data import DatasetError, load_dataset, save_dataset
+from .data import DatasetError, atomic_write, load_dataset, save_dataset
 from .inference import (
     DebiasConfig,
     evaluate,
@@ -64,13 +64,16 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_json(path, payload: dict) -> None:
+def _write_text(path, text: str) -> None:
     p = Path(path)
     if p.parent != Path(""):
         p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    with atomic_write(p) as fh:
+        fh.write(text)
+
+
+def _write_json(path, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _build_config(args) -> RunConfig:
@@ -237,10 +240,7 @@ def cmd_eval(args) -> int:
         payload.update(json.loads(report_to_json(report)))
         _write_json(args.out, payload)
     if args.plot:
-        plot = Path(args.plot)
-        if plot.parent != Path(""):
-            plot.parent.mkdir(parents=True, exist_ok=True)
-        plot.write_text(f1_bar_chart_svg(report), encoding="utf-8")
+        _write_text(args.plot, f1_bar_chart_svg(report))
     return 0
 
 

@@ -9,12 +9,17 @@ embedding features.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import secrets
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from .autodiff import const, propagate
 
 __all__ = [
     "DatasetError",
@@ -24,8 +29,11 @@ __all__ = [
     "NewsInstance",
     "Dataset",
     "normalized_adjacency",
+    "adjacency_entries",
+    "degree_buckets",
     "load_dataset",
     "save_dataset",
+    "atomic_write",
 ]
 
 
@@ -54,13 +62,21 @@ class PropagationGraph:
     edges: list[list[int]]
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        """``normalized_adjacency(self)``, built on first use and kept.
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``adjacency_entries(self)``, built on first use and kept.
 
         Graphs are not changed after construction, so the cache stays valid;
         loading does not build it.
         """
-        return normalized_adjacency(self)
+        return adjacency_entries(self)
+
+    @cached_property
+    def propagated_x(self) -> np.ndarray:
+        """N @ x for this graph's normalized adjacency N, built on first use and kept.
+
+        It is the encoder's first-layer input, which no parameter reaches.
+        """
+        return propagate(degree_buckets(*self.entries), const(self.x)).value
 
     def validate(self, instance_id: str = "?") -> None:
         if self.n < 1:
@@ -163,6 +179,44 @@ def normalized_adjacency(g: PropagationGraph) -> np.ndarray:
     return a_tilde * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
+def adjacency_entries(g: PropagationGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of ``normalized_adjacency(g)`` as ``(rows, cols, weights)``.
+
+    Built from the edge list in O(edges): each undirected pair once, plus
+    every self-connection, in row-major order.  The weights are computed as
+    the dense form computes them, so they equal its nonzeros bit for bit.
+    The arrays are read-only.
+    """
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    loops = np.arange(g.n, dtype=np.int64)
+    keys = np.unique(
+        np.concatenate([e[:, 0] * g.n + e[:, 1], e[:, 1] * g.n + e[:, 0], loops * (g.n + 1)])
+    )
+    rows, cols = np.divmod(keys, g.n)
+    d_inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=g.n))
+    weights = (1.0 * d_inv_sqrt[rows]) * d_inv_sqrt[cols]
+    for arr in (rows, cols, weights):
+        arr.flags.writeable = False
+    return rows, cols, weights
+
+
+def degree_buckets(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> list[tuple]:
+    """Group row-major sparse entries into ``autodiff.propagate`` buckets.
+
+    ``rows`` must be sorted and cover every row from 0 to its maximum.  Rows
+    with the same entry count k form one bucket ``(rows (R,), cols (R, k),
+    weights (R, 1, k))``, so a bucket's product is one stacked matmul.
+    """
+    counts = np.bincount(rows)
+    starts = np.cumsum(counts) - counts
+    buckets = []
+    for k in np.unique(counts):
+        members = np.flatnonzero(counts == k)
+        pos = starts[members][:, None] + np.arange(k)
+        buckets.append((members, cols[pos], weights[pos][:, None, :]))
+    return buckets
+
+
 def _require(record: dict, key: str, line_no: int):
     if key not in record:
         raise DatasetParseError(line_no, f"missing field {key!r}")
@@ -229,9 +283,38 @@ def load_dataset(path) -> Dataset:
     return ds
 
 
+@contextlib.contextmanager
+def atomic_write(path, binary: bool = False):
+    """Write ``path`` whole or not at all.
+
+    Yields a file opened on a new temporary name in the same directory.  When
+    the block ends normally the file is flushed to disk and moved over
+    ``path`` with ``os.replace``, so a reader sees the old file or the
+    complete new one.  When the block raises, the temporary file is removed
+    and ``path`` is left as it was.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        fh = open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8")
+    except OSError as e:  # name the destination, not the temporary file
+        raise type(e)(e.errno, e.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """Write the JSON-Lines format; inverse of load_dataset."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(
             json.dumps({"classes": ds.class_names, "feature_dim": ds.feature_dim}) + "\n"
         )

@@ -2,7 +2,11 @@
 
 Each layer computes relu(N @ H @ W) with N the symmetric-normalized
 adjacency (self-connections included); the final node representations are
-pooled (mean or add) into a single row vector per graph.  The same
+pooled (mean or add) into a single row vector per graph.  N is never formed
+densely: a batch stacks its graphs' sparse entries and multiplies by them
+one degree bucket at a time (``autodiff.propagate``), so time and memory grow
+with the edges, not with the square of the nodes.  The first layer's N @ X
+is constant data and is cached per graph.  The same
 architecture backs both the target and the event-only predictor, with
 independent weights.
 """
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, ShapeError, const, matmul, relu
-from .data import PropagationGraph
+from .autodiff import Node, ShapeError, const, matmul, propagate, relu
+from .data import PropagationGraph, degree_buckets
 
 __all__ = [
     "EncoderParams",
@@ -72,16 +76,19 @@ def init_encoder(
     return params
 
 
-def _batch_parts(graphs: list[PropagationGraph]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Block-diagonal normalized adjacency and vertically stacked features."""
+def _batch_parts(graphs: list[PropagationGraph]) -> tuple[list[tuple], np.ndarray, list[int]]:
+    """Degree buckets of the block-diagonal normalized adjacency, the stacked
+    first-layer input N @ X, and the graph sizes.
+
+    Built from each graph's cached sparse entries, so the batch costs memory
+    linear in its edges; no (sum N)^2 matrix is formed.
+    """
     sizes = [g.n for g in graphs]
-    total = sum(sizes)
-    blk = np.zeros((total, total))
-    offset = 0
-    for g in graphs:
-        blk[offset : offset + g.n, offset : offset + g.n] = g.adjacency
-        offset += g.n
-    return blk, np.vstack([g.x for g in graphs]), sizes
+    entries = [g.entries for g in graphs]
+    offsets = np.repeat(np.cumsum([0] + sizes[:-1]), [len(e[0]) for e in entries])
+    rows, cols, weights = (np.concatenate(part) for part in zip(*entries))
+    buckets = degree_buckets(rows + offsets, cols + offsets, weights)
+    return buckets, np.vstack([g.propagated_x for g in graphs]), sizes
 
 
 def _pool_matrix(sizes: list[int], pooling: str) -> np.ndarray:
@@ -99,11 +106,10 @@ def encode_batch_node(
     """Differentiable batched forward pass; row i is graph i's representation."""
     if pooling not in POOLINGS:
         raise ValueError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
-    blk, x, sizes = _batch_parts(graphs)
-    h = const(x)
-    n_node = const(blk)
-    for w in layer_nodes:
-        h = relu(matmul(matmul(n_node, h), w))
+    buckets, nx, sizes = _batch_parts(graphs)
+    h = relu(matmul(const(nx), layer_nodes[0]))
+    for w in layer_nodes[1:]:
+        h = relu(matmul(propagate(buckets, h), w))
     return matmul(const(_pool_matrix(sizes, pooling)), h)
 
 
@@ -112,7 +118,7 @@ def encode_all(
 ) -> np.ndarray:
     """Value-only representations for many graphs, stacked as rows.
 
-    Processed in chunks to keep the block-diagonal matrices small.
+    Processed in chunks of ``chunk`` graphs to bound each batch's size.
     """
     params.validate()
     nodes = [const(w) for w in params.layers]

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, TrainingError
 from .augmentation import AugmentationContext, augment, compute_radius
-from .data import Dataset, NewsInstance
+from .data import Dataset, NewsInstance, atomic_write
 from .encoder import EncoderParams, encode_all, encode_batch_node, init_encoder
 
 __all__ = [
@@ -423,7 +423,7 @@ class CheckpointError(Exception):
 def save_checkpoint(params, path) -> None:
     """Binary checkpoint: magic, version, then length-prefixed named tensors."""
     tensors = params.named_tensors()
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         for name, tensor in tensors.items():

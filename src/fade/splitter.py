@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, atomic_write
 
 __all__ = [
     "SplitError",
@@ -179,7 +179,7 @@ def save_manifest(manifest: SplitManifest, path) -> None:
         "val": manifest.val_ids,
         "test": manifest.test_ids,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fade import autodiff as ad
+from fade.data import PropagationGraph, normalized_adjacency
+from fade.encoder import _batch_parts
 
 
 def numeric_grad(f, x, eps=1e-5):
@@ -50,6 +52,59 @@ class TestMatmul:
         fd_b = numeric_grad(lambda: (a_val @ b_val).sum(), b_val)
         assert rel_err(a.grad, fd_a) < 1e-4
         assert rel_err(b.grad, fd_b) < 1e-4
+
+
+def messy_graphs(rng, sizes):
+    """Trees plus duplicate, reversed and cycle-closing edges; n=1 allowed."""
+    graphs = []
+    for n in sizes:
+        edges = [[int(rng.integers(0, i)), i] for i in range(1, n)]
+        if n > 1:
+            edges += [list(edges[0]), edges[-1][::-1]]
+        if n > 2:
+            edges.append([int(v) for v in rng.choice(n, 2, replace=False)])
+        graphs.append(PropagationGraph(n=n, x=rng.normal(size=(n, 2)), edges=edges))
+    return graphs
+
+
+def block_diagonal(graphs):
+    total = sum(g.n for g in graphs)
+    blk = np.zeros((total, total))
+    offset = 0
+    for g in graphs:
+        blk[offset : offset + g.n, offset : offset + g.n] = normalized_adjacency(g)
+        offset += g.n
+    return blk
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_block_diagonal_product(self, seed):
+        rng = np.random.default_rng(seed)
+        graphs = messy_graphs(rng, [1, 2, 3, 1] + [int(v) for v in rng.integers(4, 25, size=8)])
+        buckets = _batch_parts(graphs)[0]
+        a = rng.normal(size=(sum(g.n for g in graphs), 5))
+        out = ad.propagate(buckets, ad.const(a))
+        assert np.allclose(out.value, block_diagonal(graphs) @ a, rtol=1e-12, atol=1e-12)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(7)
+        graphs = messy_graphs(rng, [1, 3, 6, 9])
+        buckets = _batch_parts(graphs)[0]
+        total = sum(g.n for g in graphs)
+        a_val = rng.uniform(-1, 1, (total, 3))
+        c_val = rng.uniform(-1, 1, (total, 3))
+        a = ad.param(a_val)
+        product = ad.hadamard(ad.propagate(buckets, a), ad.const(c_val))
+        grads = ad.backward(ad.sum_all(ad.exp(product)))
+        blk = block_diagonal(graphs)
+        fd = numeric_grad(lambda: np.exp((blk @ a_val) * c_val).sum(), a_val)
+        assert rel_err(grads[a], fd) < 1e-6
+
+    def test_rows_outside_every_bucket_are_zero(self):
+        buckets = [(np.array([1]), np.array([[0, 1]]), np.array([[[2.0, 3.0]]]))]
+        out = ad.propagate(buckets, ad.const([[1.0, 1.0], [10.0, 20.0]]))
+        assert np.array_equal(out.value, [[0.0, 0.0], [32.0, 62.0]])
 
 
 class TestElementwise:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_gen_synth_preset_flag_with_explicit_override(tmp_path, capsys):
 
 
 def test_split_manifest_schema_and_separation(workspace):
-    payload = json.loads(open(workspace["manifest"]).read())
+    payload = json.loads(Path(workspace["manifest"]).read_text(encoding="utf-8"))
     assert set(payload) == {"seed", "train", "val", "test"}
     ds = load_dataset(workspace["data"])
     manifest = load_manifest(workspace["manifest"], ds)
@@ -126,7 +127,7 @@ def test_predict_stdout_lists_every_test_instance(workspace, capsys):
                "--run", workspace["run"], "--beta", "0.5"])
     assert rc == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
-    manifest = json.loads(open(workspace["manifest"]).read())
+    manifest = json.loads(Path(workspace["manifest"]).read_text(encoding="utf-8"))
     assert len(lines) == len(manifest["test"])
     assert all("\t" in l for l in lines)
 

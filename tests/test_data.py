@@ -9,10 +9,24 @@ from fade.data import (
     DatasetValidationError,
     NewsInstance,
     PropagationGraph,
+    adjacency_entries,
+    atomic_write,
     load_dataset,
     normalized_adjacency,
     save_dataset,
 )
+
+
+def messy_graph(rng, n):
+    """A tree over n nodes plus duplicate, reversed and cycle-closing edges."""
+    edges = [[int(rng.integers(0, i)), i] for i in range(1, n)]
+    if n > 1:
+        edges.append(list(edges[0]))  # duplicate
+        edges.append(edges[-1][::-1])  # reversed
+    if n > 2:
+        a, b = (int(v) for v in rng.choice(n, 2, replace=False))
+        edges.append([a, b])  # closes a cycle unless it repeats an edge
+    return PropagationGraph(n=n, x=rng.normal(size=(n, 2)), edges=edges)
 
 
 def make_instance(iid="a", n=3, dim=4, label=0, event="e1", edges=None):
@@ -64,6 +78,31 @@ class TestNormalizedAdjacency:
         g = PropagationGraph(n=3, x=np.zeros((3, 1)), edges=[(0, 1)])
         nrm = normalized_adjacency(g)
         assert np.array_equal(nrm[2], [0.0, 0.0, 1.0])
+
+
+class TestAdjacencyEntries:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_the_dense_nonzeros_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in [1, 2, 3] + [int(v) for v in rng.integers(4, 40, size=20)]:
+            g = messy_graph(rng, n)
+            dense = normalized_adjacency(g)
+            rows, cols, weights = adjacency_entries(g)
+            r, c = np.nonzero(dense)  # row-major
+            assert np.array_equal(rows, r) and np.array_equal(cols, c)
+            assert weights.tobytes() == dense[r, c].tobytes()
+
+    def test_cached_per_graph_and_read_only(self):
+        g = messy_graph(np.random.default_rng(0), 5)
+        assert g.entries is g.entries
+        with pytest.raises(ValueError):
+            g.entries[2][0] = 0.0
+
+    def test_propagated_x_is_the_dense_product(self):
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 7, 30):
+            g = messy_graph(rng, n)
+            assert np.allclose(g.propagated_x, normalized_adjacency(g) @ g.x, atol=1e-14)
 
 
 class TestValidation:
@@ -181,3 +220,82 @@ class TestIO:
                        make_instance("c", event="x")],
         )
         assert ds.events() == ["x", "y"]
+
+
+class _FailingParams:
+    """Checkpoint input whose second tensor cannot be encoded as float64."""
+
+    def named_tensors(self):
+        return {"a": np.ones((2, 2)), "b": np.array([["not a number"]], dtype=object)}
+
+
+def _dataset_failing_at_second_instance():
+    bad = make_instance("b", dim=4)
+    bad.graph.x = np.array([[0.5] * 3 + [object()]] * 3, dtype=object)
+    return Dataset(class_names=["T", "F"], feature_dim=4, instances=[make_instance("a"), bad])
+
+
+def _write_dataset(path, fail):
+    ds = _dataset_failing_at_second_instance() if fail else Dataset(
+        class_names=["N", "F"], feature_dim=4, instances=[make_instance("a")]
+    )
+    save_dataset(ds, path)
+
+
+def _write_checkpoint(path, fail):
+    from fade.encoder import init_encoder
+    from fade.predictors import AffineParams, EventOnlyPredictorParams, save_checkpoint
+
+    rng = np.random.default_rng(0)
+    params = EventOnlyPredictorParams(
+        encoder=init_encoder(3, 4, 1, rng),
+        classifier=AffineParams(w=rng.normal(size=(4, 2)), b=np.zeros((1, 2))),
+    )
+    save_checkpoint(_FailingParams() if fail else params, path)
+
+
+def _write_manifest(path, fail):
+    from fade.splitter import SplitManifest, save_manifest
+
+    test_ids = ["c", object()] if fail else ["c"]
+    save_manifest(SplitManifest(train_ids=["a"], val_ids=["b"], test_ids=test_ids), path)
+
+
+def _write_cli_json(path, fail):
+    from fade.cli import _write_json
+
+    _write_json(path, {"generated_at": "t", "value": object() if fail else 1.0})
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize(
+        "writer", [_write_dataset, _write_checkpoint, _write_manifest, _write_cli_json]
+    )
+    def test_failed_write_leaves_old_file_and_no_temp_file(self, tmp_path, writer):
+        path = tmp_path / "artifact"
+        writer(path, fail=False)
+        before = path.read_bytes()
+        with pytest.raises((TypeError, ValueError)):
+            writer(path, fail=True)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_partial_block_is_discarded_and_success_replaces(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path, binary=True) as fh:
+                fh.write(b"half")
+                raise RuntimeError("stop")
+        assert path.read_bytes() == b"old"
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+
+    def test_missing_directory_error_names_the_destination(self, tmp_path):
+        path = tmp_path / "no_such_dir" / "f.json"
+        with pytest.raises(FileNotFoundError) as info:
+            with atomic_write(path) as fh:
+                fh.write("{}")
+        assert info.value.filename == str(path)

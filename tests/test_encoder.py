@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,19 +106,22 @@ class TestBatched:
         graphs = [random_tree(rng, int(rng.integers(1, 7)), 4) for _ in range(5)]
         params = init_encoder(4, 8, 2, rng)
         calls = []
-        original = fade.data.normalized_adjacency
+        original = fade.data.adjacency_entries
 
         def counting(g):
             calls.append(g)
             return original(g)
 
-        monkeypatch.setattr(fade.data, "normalized_adjacency", counting)
+        monkeypatch.setattr(fade.data, "adjacency_entries", counting)
+        # the encoder never forms the dense adjacency
+        monkeypatch.setattr(fade.data, "normalized_adjacency", None)
         first = encode_all(params, graphs, chunk=2)
         second = encode_all(params, graphs, chunk=2)
         assert len(calls) == len(graphs)
         assert np.array_equal(first, second)
         for g in graphs:
-            assert np.array_equal(g.adjacency, original(g))
+            for cached, fresh in zip(g.entries, original(g)):
+                assert np.array_equal(cached, fresh)
 
     def test_gradients_flow_to_all_layers(self):
         rng = np.random.default_rng(5)
@@ -126,3 +131,25 @@ class TestBatched:
         backward(sum_all(out))
         assert np.any(weights[0].grad != 0)
         assert np.any(weights[1].grad != 0)
+
+
+class TestScaling:
+    def test_memory_stays_far_below_one_dense_batch_matrix(self):
+        rng = np.random.default_rng(8)
+        trees = [random_tree(rng, int(rng.integers(300, 501)), 4) for _ in range(64)]
+        stars = []
+        for _ in range(64):
+            n = int(rng.integers(300, 501))
+            edges = [(0, i) for i in range(1, n)]
+            stars.append(PropagationGraph(n=n, x=rng.normal(size=(n, 4)), edges=edges))
+        for graphs in (trees, stars):
+            total = sum(g.n for g in graphs)
+            weights = [param(rng.normal(size=(4, 8))), param(rng.normal(size=(8, 8)))]
+            tracemalloc.start()
+            try:
+                backward(sum_all(encode_batch_node(weights, graphs, "mean")))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < total * total * 8 / 10
+            assert np.all(np.isfinite(weights[0].grad)) and np.any(weights[0].grad != 0)

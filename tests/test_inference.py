@@ -4,6 +4,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fade.autodiff import ShapeError
 from fade.data import Dataset, NewsInstance, PropagationGraph
@@ -145,6 +147,21 @@ def test_predict_order_matches_input_order(trained):
     forward = predict(target, event_only, test_insts, cfg)
     backward = predict(target, event_only, test_insts[::-1], cfg)
     assert np.array_equal(forward, backward[::-1])
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data(), beta=st.sampled_from(DEFAULT_BETA_GRID))
+def test_predict_does_not_depend_on_instance_order(trained, data, beta):
+    # event-only pooling is transductive: it depends on which instances are
+    # given, but not on their order
+    ds, target, event_only, _ = trained
+    insts = ds.instances
+    cfg = DebiasConfig(beta=beta)
+    expected = dict(zip([i.id for i in insts], predict(target, event_only, insts, cfg)))
+    order = data.draw(st.permutations(range(len(insts))))
+    shuffled = [insts[k] for k in order]
+    got = predict(target, event_only, shuffled, cfg)
+    assert dict(zip([i.id for i in shuffled], got)) == expected
 
 
 def test_predict_empty_rejected(trained):
