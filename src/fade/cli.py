@@ -322,7 +322,18 @@ def _ablate_one_seed(cfg: RunConfig, seed: int) -> dict:
     }
 
 
+# Environment of the ablate workers: one BLAS thread each, so the seeds share
+# the cores without oversubscribing them and every seed computes the same
+# bytes whatever the core count.  It must be set before a worker imports numpy.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def cmd_ablate(args) -> int:
+    # Imported here, not at module level, so that `import fade.cli`, which
+    # every command pays for, does not load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     cfg = _build_config(args)
     if args.seeds is not None:
         cfg.set("ablate_seeds", args.seeds)
@@ -330,11 +341,35 @@ def cmd_ablate(args) -> int:
 
     n_seeds = cfg.get("ablate_seeds")
     seeds = list(range(n_seeds))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
-    # Seeds run one after another, in seed order.  A thread pool was slower
-    # on two cores: each seed is numpy-bound and BLAS already uses the cores.
+    # Seeds run on spawned worker processes, one seed per task; `map` returns
+    # them in seed order.  Spawn, not fork: a forked worker would inherit the
+    # parent's already-started BLAS threads.  There is always a pool, even for
+    # one seed, so there is one code path whatever the core count.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(n_seeds, cpus)
+    saved_env = {key: os.environ.get(key) for key in _WORKER_ENV}
     t0 = time.perf_counter()
-    results = [_ablate_one_seed(cfg, s) for s in seeds]
+    os.environ.update(_WORKER_ENV)
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            try:
+                results = list(pool.map(_ablate_one_seed, [cfg] * n_seeds, seeds))
+            except BaseException:
+                # Fail as the first failing seed does; do not start the rest.
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        for key, value in saved_env.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
     elapsed = time.perf_counter() - t0
 
     variants = {}
@@ -352,11 +387,9 @@ def cmd_ablate(args) -> int:
         "betas": [r["beta"] for r in results],
         "variants": variants,
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "ablation.json", payload)
 
-    print(f"{len(seeds)} seeds in {elapsed:.1f}s", file=sys.stderr)
+    print(f"{n_seeds} seeds on {workers} worker processes in {elapsed:.1f}s", file=sys.stderr)
     width = max(len(v) for v in ABLATION_VARIANTS)
     print(f"{'variant':<{width}}  {'mean':>6}  {'std':>6}   (n={len(seeds)})")
     for name in ABLATION_VARIANTS:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 import fade.cli as cli
 from fade.autodiff import TrainingError
 from fade.cli import main
+from fade.config import RunConfig
 from fade.data import load_dataset
 from fade.inference import target_logits
 from fade.predictors import load_checkpoint
@@ -179,6 +183,68 @@ def test_ablate_writes_expected_variants(tmp_path, capsys):
     table = capsys.readouterr().out
     order = [table.index(v) for v in ("full", "beta0", "alpha0_beta0", "event_mixed")]
     assert order == sorted(order)
+
+
+TINY_ABLATE = ["--set", "n_events=8", "--set", "instances_per_event=5",
+               "--set", "epochs=2", "--set", "hidden_dim=8", "--set", "proj_dim=4"]
+
+
+def test_ablate_pool_matches_serial_loop_and_restores_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    environ = dict(os.environ)
+    out = tmp_path / "ab"
+    assert main(["ablate", "--out", str(out), "--seeds", "3", *TINY_ABLATE]) == 0
+    assert dict(os.environ) == environ
+    assert "3 seeds on " in capsys.readouterr().err
+
+    cfg = RunConfig()
+    cfg.apply_overrides(TINY_ABLATE[1::2])
+    rows = [cli._ablate_one_seed(cfg, seed) for seed in range(3)]
+    payload = json.loads((out / "ablation.json").read_text())
+    del payload["generated_at"]
+    assert payload == {
+        "preset": "",
+        "seeds": [0, 1, 2],
+        "betas": [r["beta"] for r in rows],
+        "variants": {
+            name: {
+                "accuracies": [r[name] for r in rows],
+                "mean": float(np.mean([r[name] for r in rows])),
+                "std": float(np.std([r[name] for r in rows])),
+            }
+            for name in cli.ABLATION_VARIANTS
+        },
+    }
+
+
+def test_ablate_numeric_failure_in_a_worker_exits_4(tmp_path, capsys):
+    rc = main(["ablate", "--out", str(tmp_path / "ab"), "--seeds", "2",
+               "--set", "lr=1e300", *TINY_ABLATE])
+    assert rc == 4
+    assert capsys.readouterr().err.splitlines()[-1] == "error: log: input has non-positive entries"
+
+
+def test_ablate_bad_out_exits_3_before_any_seed_runs(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["ablate", "--out", str(taken), "--seeds", "2", *TINY_ABLATE]) == 3
+    assert str(taken) in capsys.readouterr().err
+
+
+def test_importing_cli_loads_no_process_pool_modules():
+    # `import fade.cli` is paid by every command; the pool's modules load only
+    # when `fade ablate` runs.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, fade.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
