@@ -21,7 +21,8 @@ __all__ = [
     "param",
     "const",
     "matmul",
-    "propagate",
+    "gcn_layer",
+    "segment_pool",
     "add",
     "sub",
     "scale",
@@ -132,24 +133,73 @@ def matmul(a: Node, b: Node) -> Node:
 
 
 def _bucket_product(buckets, a: np.ndarray) -> np.ndarray:
+    """Sparse product N @ a for N given as degree buckets.
+
+    Each bucket ``(rows (R,), cols (R, k), weights (R, 1, k))`` holds the R
+    rows of N with k entries each (see ``data.degree_buckets``); a row no
+    bucket names is zero.
+    """
     out = np.zeros_like(a)
     for rows, cols, weights in buckets:
         out[rows] = np.matmul(weights, a[cols])[:, 0, :]
     return out
 
 
-def propagate(buckets, a: Node) -> Node:
-    """Sparse product N @ a for a symmetric N given as degree buckets.
+def _positive_part(z: np.ndarray) -> np.ndarray:
+    """``np.where(z > 0, z, 0.0)`` bit for bit, without its per-entry branch."""
+    out = np.fmax(z, 0.0)  # NaN -> 0.0
+    out += 0.0  # fmax may keep -0.0; -0.0 + 0.0 is +0.0
+    return out
 
-    Each bucket ``(rows (R,), cols (R, k), weights (R, 1, k))`` holds the R
-    rows of N with k entries each (see ``data.degree_buckets``); a row no
-    bucket names is zero.  Since N is symmetric, the backward rule is the
-    same product applied to the output gradient.
+
+def gcn_layer(buckets, h: Node, w: Node) -> Node:
+    """One graph-convolution layer relu((N @ h) @ w) as a single node.
+
+    N is symmetric and given as degree buckets (see ``_bucket_product``), so
+    the gradient reaching h is N @ (g @ w.T) for the masked output gradient
+    g.  With ``buckets=None``, h already holds N @ x and is used as is.
     """
-    out = Node(_bucket_product(buckets, a.value), (a,))
+    if h.value.shape[1] != w.value.shape[0]:
+        raise ShapeError(
+            f"gcn_layer: inner dimensions differ, {h.value.shape} vs {w.value.shape}"
+        )
+    p = h.value if buckets is None else _bucket_product(buckets, h.value)
+    z = p @ w.value
+    mask = z > 0  # gradient at exactly 0 is 0
+    out = Node(_positive_part(z), (h, w))
 
     def rule(g):
-        a.grad += _bucket_product(buckets, g)
+        gm = g * mask
+        if w.grad is not None:
+            w.grad += p.T @ gm
+        if h.grad is not None:
+            gh = gm @ w.value.T
+            h.grad += gh if buckets is None else _bucket_product(buckets, gh)
+
+    out._rule = rule
+    return out
+
+
+def segment_pool(h: Node, sizes, mean: bool) -> Node:
+    """Per-segment sums (or means) of consecutive rows, shape (sum sizes, c) -> (B, c).
+
+    Segment i is the next ``sizes[i]`` rows of h; every size must be at
+    least 1.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    # reduceat would return the next row, not zeros, for an empty segment
+    if np.any(sizes < 1):
+        raise ShapeError(f"segment_pool: segment sizes must be >= 1, got {sizes.tolist()}")
+    if sizes.sum() != h.value.shape[0]:
+        raise ShapeError(
+            f"segment_pool: sizes sum to {sizes.sum()}, input has {h.value.shape[0]} rows"
+        )
+    scale = 1.0 / sizes[:, None] if mean else 1.0
+    starts = np.cumsum(sizes) - sizes
+    out = Node(np.add.reduceat(h.value, starts, axis=0) * scale, (h,))
+
+    def rule(g):
+        h.grad += np.repeat(g * scale, sizes, axis=0)
 
     out._rule = rule
     return out
@@ -197,7 +247,7 @@ def scale(a: Node, c: float) -> Node:
 
 def relu(a: Node) -> Node:
     mask = a.value > 0  # gradient at exactly 0 is 0
-    out = Node(np.where(mask, a.value, 0.0), (a,))
+    out = Node(_positive_part(a.value), (a,))
 
     def rule(g):
         a.grad += g * mask

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autodiff import const, propagate
+from .autodiff import _bucket_product, as_matrix
 
 __all__ = [
     "DatasetError",
@@ -76,7 +76,7 @@ class PropagationGraph:
 
         It is the encoder's first-layer input, which no parameter reaches.
         """
-        return propagate(degree_buckets(*self.entries), const(self.x)).value
+        return _bucket_product(degree_buckets(*self.entries), as_matrix(self.x))
 
     def validate(self, instance_id: str = "?") -> None:
         if self.n < 1:
@@ -201,7 +201,7 @@ def adjacency_entries(g: PropagationGraph) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def degree_buckets(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> list[tuple]:
-    """Group row-major sparse entries into ``autodiff.propagate`` buckets.
+    """Group row-major sparse entries into buckets for ``autodiff.gcn_layer``.
 
     ``rows`` must be sorted and cover every row from 0 to its maximum.  Rows
     with the same entry count k form one bucket ``(rows (R,), cols (R, k),

@@ -1,12 +1,13 @@
 """Graph-convolutional encoder producing graph-level representations.
 
 Each layer computes relu(N @ H @ W) with N the symmetric-normalized
-adjacency (self-connections included); the final node representations are
-pooled (mean or add) into a single row vector per graph.  N is never formed
-densely: a batch stacks its graphs' sparse entries and multiplies by them
-one degree bucket at a time (``autodiff.propagate``), so time and memory grow
-with the edges, not with the square of the nodes.  The first layer's N @ X
-is constant data and is cached per graph.  The same
+adjacency (self-connections included), as one autodiff node
+(``autodiff.gcn_layer``); the final node representations are pooled (mean
+or add) into a single row vector per graph by segment sums
+(``autodiff.segment_pool``).  N is never formed densely: a batch stacks its
+graphs' sparse entries and multiplies by them one degree bucket at a time,
+so time and memory grow with the edges, not with the square of the nodes.
+The first layer's N @ X is constant data and is cached per graph.  The same
 architecture backs both the target and the event-only predictor, with
 independent weights.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, ShapeError, const, matmul, propagate, relu
+from .autodiff import Node, ShapeError, const, gcn_layer, segment_pool
 from .data import PropagationGraph, degree_buckets
 
 __all__ = [
@@ -91,15 +92,6 @@ def _batch_parts(graphs: list[PropagationGraph]) -> tuple[list[tuple], np.ndarra
     return buckets, np.vstack([g.propagated_x for g in graphs]), sizes
 
 
-def _pool_matrix(sizes: list[int], pooling: str) -> np.ndarray:
-    pool = np.zeros((len(sizes), sum(sizes)))
-    offset = 0
-    for i, n in enumerate(sizes):
-        pool[i, offset : offset + n] = 1.0 / n if pooling == "mean" else 1.0
-        offset += n
-    return pool
-
-
 def encode_batch_node(
     layer_nodes: list[Node], graphs: list[PropagationGraph], pooling: str
 ) -> Node:
@@ -107,10 +99,10 @@ def encode_batch_node(
     if pooling not in POOLINGS:
         raise ValueError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
     buckets, nx, sizes = _batch_parts(graphs)
-    h = relu(matmul(const(nx), layer_nodes[0]))
+    h = gcn_layer(None, const(nx), layer_nodes[0])
     for w in layer_nodes[1:]:
-        h = relu(matmul(propagate(buckets, h), w))
-    return matmul(const(_pool_matrix(sizes, pooling)), h)
+        h = gcn_layer(buckets, h, w)
+    return segment_pool(h, sizes, pooling == "mean")
 
 
 def encode_all(

@@ -1,0 +1,26 @@
+import pytest
+
+from fade import autodiff as ad
+
+
+def _propagate(buckets, a):
+    """N @ a as its own node, whose backward is the same product (N is symmetric)."""
+    out = ad.Node(ad._bucket_product(buckets, a.value), (a,))
+
+    def rule(g):
+        a.grad += ad._bucket_product(buckets, g)
+
+    out._rule = rule
+    return out
+
+
+def _three_node_layer(buckets, h, w):
+    """relu(matmul(propagate(...))): the three-node chain ``ad.gcn_layer`` fuses."""
+    p = h if buckets is None else _propagate(buckets, h)
+    return ad.relu(ad.matmul(p, w))
+
+
+@pytest.fixture
+def three_node_layer():
+    """Reference GCN layer with the same signature as ``ad.gcn_layer``."""
+    return _three_node_layer

@@ -77,15 +77,23 @@ def block_diagonal(graphs):
     return blk
 
 
+def split_relu(out, c):
+    """N @ a from gcn_layer(N, a, [I, -I]), whose output is [relu(Na), relu(-Na)]."""
+    return out[:, :c] - out[:, c:]
+
+
 class TestPropagate:
+    """Propagation by N inside ``ad.gcn_layer``."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_block_diagonal_product(self, seed):
         rng = np.random.default_rng(seed)
         graphs = messy_graphs(rng, [1, 2, 3, 1] + [int(v) for v in rng.integers(4, 25, size=8)])
         buckets = _batch_parts(graphs)[0]
         a = rng.normal(size=(sum(g.n for g in graphs), 5))
-        out = ad.propagate(buckets, ad.const(a))
-        assert np.allclose(out.value, block_diagonal(graphs) @ a, rtol=1e-12, atol=1e-12)
+        out = ad.gcn_layer(buckets, ad.const(a), ad.const(np.hstack([np.eye(5), -np.eye(5)])))
+        expected = block_diagonal(graphs) @ a
+        assert np.allclose(split_relu(out.value, 5), expected, rtol=1e-12, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -93,24 +101,113 @@ class TestPropagate:
         buckets = _batch_parts(graphs)[0]
         total = sum(g.n for g in graphs)
         a_val = rng.uniform(-1, 1, (total, 3))
-        c_val = rng.uniform(-1, 1, (total, 3))
-        a = ad.param(a_val)
-        product = ad.hadamard(ad.propagate(buckets, a), ad.const(c_val))
+        w_val = rng.uniform(-1, 1, (3, 4))
+        c_val = rng.uniform(-1, 1, (total, 4))
+        a, w = ad.param(a_val), ad.param(w_val)
+        product = ad.hadamard(ad.gcn_layer(buckets, a, w), ad.const(c_val))
         grads = ad.backward(ad.sum_all(ad.exp(product)))
         blk = block_diagonal(graphs)
-        fd = numeric_grad(lambda: np.exp((blk @ a_val) * c_val).sum(), a_val)
-        assert rel_err(grads[a], fd) < 1e-6
+
+        def f():
+            return np.exp(np.maximum(blk @ a_val @ w_val, 0.0) * c_val).sum()
+
+        assert rel_err(grads[a], numeric_grad(f, a_val)) < 1e-6
+        assert rel_err(grads[w], numeric_grad(f, w_val)) < 1e-6
 
     def test_rows_outside_every_bucket_are_zero(self):
         buckets = [(np.array([1]), np.array([[0, 1]]), np.array([[[2.0, 3.0]]]))]
-        out = ad.propagate(buckets, ad.const([[1.0, 1.0], [10.0, 20.0]]))
+        out = ad.gcn_layer(buckets, ad.const([[1.0, 1.0], [10.0, 20.0]]), ad.const(np.eye(2)))
         assert np.array_equal(out.value, [[0.0, 0.0], [32.0, 62.0]])
+
+
+class TestGcnLayer:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal_to_three_node_chain(self, seed, three_node_layer):
+        rng = np.random.default_rng(seed)
+        graphs = messy_graphs(rng, [1, 2, 3, 1] + [int(v) for v in rng.integers(4, 25, size=8)])
+        buckets, nx, _ = _batch_parts(graphs)
+        w_vals = [rng.normal(size=(2, 6)), rng.normal(size=(6, 6)), rng.normal(size=(6, 6))]
+        c_val = rng.normal(size=(nx.shape[0], 6))
+        results = []
+        for layer in (ad.gcn_layer, three_node_layer):
+            ws = [ad.param(v.copy()) for v in w_vals]
+            h = layer(None, ad.const(nx), ws[0])
+            hidden = layer(buckets, h, ws[1])
+            out = layer(buckets, hidden, ws[2])
+            ad.backward(ad.sum_all(ad.hadamard(out, ad.const(c_val))))
+            results.append((out.value, hidden.grad, [w.grad for w in ws]))
+        (out, h_grad, w_grads), (ref_out, ref_h_grad, ref_w_grads) = results
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(h_grad, ref_h_grad)
+        for g, ref in zip(w_grads, ref_w_grads):
+            assert np.array_equal(g, ref)
+            assert np.any(g != 0)
+
+    def test_constant_input_gets_no_gradient(self):
+        h = ad.const(np.ones((2, 2)))
+        w = ad.param(np.eye(2))
+        ad.backward(ad.sum_all(ad.gcn_layer(None, h, w)))
+        assert h.grad is None
+        assert np.array_equal(w.grad, [[2.0, 2.0], [2.0, 2.0]])
+
+    @pytest.mark.parametrize("buckets", [None, []])
+    def test_inner_dimension_mismatch_raises(self, buckets):
+        with pytest.raises(ad.ShapeError, match=r"\(3, 2\).*\(3, 4\)"):
+            ad.gcn_layer(buckets, ad.const(np.zeros((3, 2))), ad.const(np.zeros((3, 4))))
+
+
+def pool_matrix(sizes, mean):
+    """The dense (B, sum sizes) pooling matrix that ``ad.segment_pool`` replaces."""
+    pool = np.zeros((len(sizes), sum(sizes)))
+    offset = 0
+    for i, n in enumerate(sizes):
+        pool[i, offset : offset + n] = 1.0 / n if mean else 1.0
+        offset += n
+    return pool
+
+
+class TestSegmentPool:
+    @pytest.mark.parametrize("mean", [True, False])
+    @pytest.mark.parametrize("sizes", [[1, 4, 2, 7], [3, 1, 1, 5, 1], [1], [6]])
+    def test_matches_dense_pool_matrix(self, sizes, mean):
+        h = np.random.default_rng(len(sizes)).normal(size=(sum(sizes), 3))
+        out = ad.segment_pool(ad.const(h), sizes, mean)
+        assert np.allclose(out.value, pool_matrix(sizes, mean) @ h, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mean", [True, False])
+    def test_gradient_matches_finite_differences(self, mean):
+        rng = np.random.default_rng(11)
+        sizes = [1, 3, 2, 1]
+        h_val = rng.uniform(-1, 1, (sum(sizes), 3))
+        c_val = rng.uniform(-1, 1, (len(sizes), 3))
+        h = ad.param(h_val)
+        grads = ad.backward(
+            ad.sum_all(ad.exp(ad.hadamard(ad.segment_pool(h, sizes, mean), ad.const(c_val))))
+        )
+        pool = pool_matrix(sizes, mean)
+        fd = numeric_grad(lambda: np.exp((pool @ h_val) * c_val).sum(), h_val)
+        assert rel_err(grads[h], fd) < 1e-6
+
+    @pytest.mark.parametrize("sizes", [[0, 2], [2, 0, 1], [3, -1]])
+    def test_size_below_one_rejected(self, sizes):
+        h = ad.const(np.ones((max(sum(sizes), 1), 2)))
+        with pytest.raises(ad.ShapeError, match=">= 1"):
+            ad.segment_pool(h, sizes, True)
+
+    def test_sizes_must_cover_every_row(self):
+        with pytest.raises(ad.ShapeError, match="sum to 3"):
+            ad.segment_pool(ad.const(np.ones((4, 2))), [1, 2], False)
 
 
 class TestElementwise:
     def test_relu_values(self):
         out = ad.relu(ad.const([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.value, [[0.0, 0.0, 2.0]])
+
+    def test_relu_matches_where_bit_for_bit(self):
+        x = np.array([[-0.0, 0.0, np.nan, -np.inf, np.inf, -2.0, 3.0, 5e-324, -5e-324]])
+        out = ad.relu(ad.const(x)).value
+        assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
 
     def test_scale_zero(self):
         out = ad.scale(ad.const([1.0, 2.0]), 0.0)

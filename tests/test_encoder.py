@@ -152,4 +152,6 @@ class TestScaling:
             finally:
                 tracemalloc.stop()
             assert peak < total * total * 8 / 10
+            # no (B, sum N) pooling matrix either: that alone would be 1x
+            assert peak < 2.5 * len(graphs) * total * 8
             assert np.all(np.isfinite(weights[0].grad)) and np.any(weights[0].grad != 0)

@@ -294,6 +294,31 @@ def test_train_target_checkpoint_matches_per_candidate_augmentation(tmp_path, mo
     assert (tmp_path / "stacked.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
 
 
+def test_checkpoints_match_three_node_encoder_layers(tmp_path, monkeypatch, three_node_layer):
+    """The fused GCN layer trains both predictors to the same bytes as the unfused chain."""
+    import fade.encoder
+
+    ds = make_dataset(seed=4)
+    train, val = split_ids(ds, 3)
+    hp = Hyperparams(alpha=0.3, epochs=3, batch_size=8)
+
+    def train_both(tag):
+        logs = []
+        for name, trainer in (("target", train_target), ("event_only", train_event_only)):
+            params, log = trainer(ds, train, val, hp, seed=9, arch=SMALL)
+            save_checkpoint(params, tmp_path / f"{tag}-{name}.ckpt")
+            logs.append(log)
+        return logs
+
+    fused_logs = train_both("fused")
+    monkeypatch.setattr(fade.encoder, "gcn_layer", three_node_layer)
+    chain_logs = train_both("chain")
+    assert chain_logs == fused_logs
+    for name in ("target", "event_only"):
+        fused = (tmp_path / f"fused-{name}.ckpt").read_bytes()
+        assert fused == (tmp_path / f"chain-{name}.ckpt").read_bytes()
+
+
 def test_train_target_different_seeds_differ():
     ds = make_dataset(seed=4)
     train, val = split_ids(ds, 3)
