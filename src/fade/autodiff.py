@@ -2,8 +2,10 @@
 
 Values are 2-D float64 numpy arrays ("matrices"); every operation returns a
 new :class:`Node` that remembers its inputs and the local chain rule.  The
-engine is deliberately small: just enough ops for a GCN encoder, linear
-heads, and the composite training losses built on top of them.
+engine is deliberately small: just enough ops for a GCN encoder and linear
+heads, plus the two pieces the training losses need, softmax cross-entropy
+and row normalization.  Each of those is one node with a hand-written
+gradient rather than a composition of elementwise exp/log ops.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "ShapeError",
-    "DomainError",
     "TrainingError",
     "Node",
     "as_matrix",
@@ -24,17 +25,12 @@ __all__ = [
     "gcn_layer",
     "segment_pool",
     "add",
-    "sub",
     "scale",
     "relu",
-    "exp",
-    "log",
     "hadamard",
     "sum_all",
-    "mean_all",
-    "rowsum",
-    "reciprocal",
-    "sqrt_pos",
+    "cross_entropy",
+    "row_normalize",
     "backward",
     "AdamState",
     "adam_init",
@@ -44,10 +40,6 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-class DomainError(ValueError):
-    """Operand values lie outside the operation's domain (e.g. log of <= 0)."""
 
 
 class TrainingError(RuntimeError):
@@ -219,20 +211,6 @@ def add(a: Node, b: Node) -> Node:
     return out
 
 
-def sub(a: Node, b: Node) -> Node:
-    _check_same_shape("sub", a, b)
-    out = Node(a.value - b.value, (a, b))
-
-    def rule(g):
-        if a.grad is not None:
-            a.grad += g
-        if b.grad is not None:
-            b.grad -= g
-
-    out._rule = rule
-    return out
-
-
 def scale(a: Node, c: float) -> Node:
     """Multiply every entry by the python scalar ``c``."""
     c = float(c)
@@ -251,29 +229,6 @@ def relu(a: Node) -> Node:
 
     def rule(g):
         a.grad += g * mask
-
-    out._rule = rule
-    return out
-
-
-def exp(a: Node) -> Node:
-    e = np.exp(a.value)
-    out = Node(e, (a,))
-
-    def rule(g):
-        a.grad += g * e
-
-    out._rule = rule
-    return out
-
-
-def log(a: Node) -> Node:
-    if not np.all(a.value > 0):
-        raise DomainError("log: input has non-positive entries")
-    out = Node(np.log(a.value), (a,))
-
-    def rule(g):
-        a.grad += g / a.value
 
     out._rule = rule
     return out
@@ -310,38 +265,47 @@ def sum_all(a: Node) -> Node:
     return out
 
 
-def mean_all(a: Node) -> Node:
-    _check_nonempty("mean", a)
-    n = a.value.size
-    out = Node([[a.value.sum() / n]], (a,))
+def cross_entropy(logits: Node, labels) -> Node:
+    """Batch-mean softmax cross-entropy of (b, c) logits against b integer labels.
+
+    Each row is shifted by its max before exponentiating, so it stays finite
+    for any finite logits.  Labels must already lie in [0, c).
+    """
+    _check_nonempty("cross_entropy", logits)
+    b = logits.value.shape[0]
+    picked = (np.arange(b), np.asarray(labels, dtype=np.int64))
+    shifted = logits.value - logits.value.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=1, keepdims=True)
+    out = Node([[np.sum(np.log(s[:, 0]) - shifted[picked]) / b]], (logits,))
 
     def rule(g):
-        a.grad += g[0, 0] / n
+        d = e / s
+        d[picked] -= 1.0
+        logits.grad += d * (g[0, 0] / b)
 
     out._rule = rule
     return out
 
 
-def rowsum(a: Node) -> Node:
-    """Per-row sums, shape (r, c) -> (r, 1)."""
-    _check_nonempty("rowsum", a)
-    out = Node(a.value.sum(axis=1, keepdims=True), (a,))
+def row_normalize(a: Node) -> Node:
+    """Each row divided by its Euclidean norm.
+
+    A row whose squared norm is at most 1e-24 has no usable direction: it
+    becomes zero and passes no gradient back.
+    """
+    sq = (a.value * a.value).sum(axis=1, keepdims=True)
+    alive = sq > 1e-24
+    norm = np.sqrt(np.where(alive, sq, 1.0))
+    u = np.where(alive, a.value / norm, 0.0)
+    out = Node(u, (a,))
 
     def rule(g):
-        a.grad += g  # (r, 1) broadcasts across columns
+        ug = (u * g).sum(axis=1, keepdims=True)
+        a.grad += np.where(alive, (g - u * ug) / norm, 0.0)
 
     out._rule = rule
     return out
-
-
-def reciprocal(a: Node) -> Node:
-    """1/x composed from exp/log; requires strictly positive entries."""
-    return exp(scale(log(a), -1.0))
-
-
-def sqrt_pos(a: Node) -> Node:
-    """Entrywise square root composed from exp/log; requires positive entries."""
-    return exp(scale(log(a), 0.5))
 
 
 def _toposort(root: Node) -> list[Node]:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import DomainError, ShapeError, TrainingError
+from .autodiff import ShapeError, TrainingError
 from .config import ConfigError, RunConfig, load_config
 from .data import DatasetError, atomic_write, load_dataset, save_dataset
 from .inference import (
@@ -471,7 +471,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TrainingError, ShapeError, DomainError, FloatingPointError) as e:
+    except (TrainingError, ShapeError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except ConfigError as e:

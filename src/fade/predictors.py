@@ -129,34 +129,25 @@ def _base_tensors(enc: EncoderParams, clf: AffineParams) -> dict[str, np.ndarray
 
 
 def ce_loss(logits: Node, labels) -> Node:
-    """Batch-mean cross-entropy of softmaxed logits against integer labels.
-
-    Stabilized by subtracting the (detached) per-row max before exponentiating.
-    """
+    """Batch-mean cross-entropy of softmaxed logits against integer labels."""
     b, n_classes = logits.value.shape
     labels = [int(y) for y in labels]
     if len(labels) != b:
         raise ad.ShapeError(f"ce_loss: {b} logit rows but {len(labels)} labels")
     if b == 0:
         raise ad.ShapeError("ce_loss: empty batch")
-    onehot = np.zeros((b, n_classes))
-    for i, y in enumerate(labels):
+    for y in labels:
         if not 0 <= y < n_classes:
             raise ValueError(f"label {y} outside [0, {n_classes})")
-        onehot[i, y] = 1.0
-    row_max = logits.value.max(axis=1, keepdims=True)
-    shifted = ad.sub(logits, ad.const(np.repeat(row_max, n_classes, axis=1)))
-    lse = ad.log(ad.rowsum(ad.exp(shifted)))
-    picked = ad.rowsum(ad.hadamard(shifted, ad.const(onehot)))
-    return ad.scale(ad.sum_all(ad.sub(lse, picked)), 1.0 / b)
+    return ad.cross_entropy(logits, labels)
 
 
 def contrastive_loss(p_original: Node, p_augmented: Node) -> Node:
     """Negative cosine similarity between paired projection rows, batch mean.
 
-    Rows where either side has (near-)zero norm are masked out: cosine is
-    undefined there, so they contribute zero loss and zero gradient instead
-    of a 1/norm blow-up.
+    Rows where either side has (near-)zero norm contribute zero loss and
+    zero gradient: ``row_normalize`` zeroes them, since cosine is undefined
+    there.
     """
     if p_original.value.shape != p_augmented.value.shape:
         raise ad.ShapeError(
@@ -164,15 +155,8 @@ def contrastive_loss(p_original: Node, p_augmented: Node) -> Node:
             f"{p_augmented.value.shape}"
         )
     b = p_original.value.shape[0]
-    tiny = ad.const(np.full((b, 1), 1e-300))  # keeps log defined at exactly zero
-    dot = ad.rowsum(ad.hadamard(p_original, p_augmented))
-    sq_o = ad.rowsum(ad.hadamard(p_original, p_original))
-    sq_a = ad.rowsum(ad.hadamard(p_augmented, p_augmented))
-    alive = ((sq_o.value > 1e-24) & (sq_a.value > 1e-24)).astype(np.float64)
-    norm_o = ad.sqrt_pos(ad.add(sq_o, tiny))
-    norm_a = ad.sqrt_pos(ad.add(sq_a, tiny))
-    cos = ad.hadamard(dot, ad.reciprocal(ad.hadamard(norm_o, norm_a)))
-    return ad.scale(ad.mean_all(ad.hadamard(cos, ad.const(alive))), -1.0)
+    cos = ad.hadamard(ad.row_normalize(p_original), ad.row_normalize(p_augmented))
+    return ad.scale(ad.sum_all(cos), -1.0 / b)
 
 
 def event_mean_pool(reps: np.ndarray, events) -> np.ndarray:
@@ -268,7 +252,8 @@ def _fit(params, hyper: Hyperparams, n_train: int, val, forward, epoch_batches, 
     Each epoch, ``epoch_batches(epoch)`` gives the batches as index lists
     into the train split, and ``batch_loss(nodes, idx, epoch)`` builds one
     batch's (total loss node, cross-entropy, contrastive term) from the
-    parameter nodes.  Validation accuracy scores ``forward(params, val)``.
+    parameter nodes.  Validation accuracy scores ``forward(params, val)``;
+    a non-finite loss or validation logit raises TrainingError.
     The nodes wrap the parameter arrays themselves, so Adam's in-place
     updates are what ``params`` holds.
     """
@@ -298,8 +283,10 @@ def _fit(params, hyper: Hyperparams, n_train: int, val, forward, epoch_batches, 
 
         val_acc = 0.0
         if val:
-            preds = np.argmax(forward(params, val), axis=1)
-            val_acc = float(np.mean(preds == val_labels))
+            val_logits = forward(params, val)
+            if not np.all(np.isfinite(val_logits)):
+                raise TrainingError(f"non-finite validation logits at epoch {epoch}")
+            val_acc = float(np.mean(np.argmax(val_logits, axis=1) == val_labels))
         log.append({
             "epoch": epoch,
             "loss_ce": ce_sum / n_train,
@@ -348,7 +335,10 @@ def train_target(
 
     def epoch_batches(epoch):
         if hyper.alpha > 0:
-            ctx.radius = compute_radius(encode_all(params.encoder, graphs))
+            radius = compute_radius(encode_all(params.encoder, graphs))
+            if not np.isfinite(radius):
+                raise TrainingError(f"non-finite augmentation radius at epoch {epoch}")
+            ctx.radius = radius
         order = rng.permutation(len(train))
         return [order[s : s + hyper.batch_size] for s in range(0, len(train), hyper.batch_size)]
 

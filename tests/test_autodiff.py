@@ -105,11 +105,11 @@ class TestPropagate:
         c_val = rng.uniform(-1, 1, (total, 4))
         a, w = ad.param(a_val), ad.param(w_val)
         product = ad.hadamard(ad.gcn_layer(buckets, a, w), ad.const(c_val))
-        grads = ad.backward(ad.sum_all(ad.exp(product)))
+        grads = ad.backward(ad.sum_all(ad.hadamard(product, product)))
         blk = block_diagonal(graphs)
 
         def f():
-            return np.exp(np.maximum(blk @ a_val @ w_val, 0.0) * c_val).sum()
+            return ((np.maximum(blk @ a_val @ w_val, 0.0) * c_val) ** 2).sum()
 
         assert rel_err(grads[a], numeric_grad(f, a_val)) < 1e-6
         assert rel_err(grads[w], numeric_grad(f, w_val)) < 1e-6
@@ -181,11 +181,10 @@ class TestSegmentPool:
         h_val = rng.uniform(-1, 1, (sum(sizes), 3))
         c_val = rng.uniform(-1, 1, (len(sizes), 3))
         h = ad.param(h_val)
-        grads = ad.backward(
-            ad.sum_all(ad.exp(ad.hadamard(ad.segment_pool(h, sizes, mean), ad.const(c_val))))
-        )
+        product = ad.hadamard(ad.segment_pool(h, sizes, mean), ad.const(c_val))
+        grads = ad.backward(ad.sum_all(ad.hadamard(product, product)))
         pool = pool_matrix(sizes, mean)
-        fd = numeric_grad(lambda: np.exp((pool @ h_val) * c_val).sum(), h_val)
+        fd = numeric_grad(lambda: (((pool @ h_val) * c_val) ** 2).sum(), h_val)
         assert rel_err(grads[h], fd) < 1e-6
 
     @pytest.mark.parametrize("sizes", [[0, 2], [2, 0, 1], [3, -1]])
@@ -218,15 +217,11 @@ class TestElementwise:
         ad.backward(ad.sum_all(ad.relu(x)))
         assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
-    def test_log_domain_error(self):
-        with pytest.raises(ad.DomainError):
-            ad.log(ad.const([[1.0, 0.0]]))
-
     def test_add_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
             ad.add(ad.const(np.zeros((1, 2))), ad.const(np.zeros((2, 1))))
 
-    @pytest.mark.parametrize("op", ["exp", "relu"])
+    @pytest.mark.parametrize("op", ["relu"])
     def test_unary_gradients_match_finite_differences(self, op):
         rng = np.random.default_rng(3)
         # keep relu inputs away from the kink, where FD is ill-defined
@@ -235,11 +230,11 @@ class TestElementwise:
         x = ad.param(x_val)
         loss = ad.sum_all(getattr(ad, op)(x))
         ad.backward(loss)
-        ref = {"exp": np.exp, "relu": lambda v: np.maximum(v, 0.0)}[op]
+        ref = {"relu": lambda v: np.maximum(v, 0.0)}[op]
         fd = numeric_grad(lambda: ref(x_val).sum(), x_val)
         assert rel_err(x.grad, fd) < 1e-4
 
-    @pytest.mark.parametrize("op", ["add", "sub", "hadamard"])
+    @pytest.mark.parametrize("op", ["add", "hadamard"])
     def test_binary_gradients_match_finite_differences(self, op):
         rng = np.random.default_rng(4)
         a_val = rng.uniform(-1, 1, (3, 2))
@@ -249,36 +244,17 @@ class TestElementwise:
         ad.backward(loss)
         ref = {
             "add": lambda: (a_val + b_val).sum(),
-            "sub": lambda: (a_val - b_val).sum(),
             "hadamard": lambda: (a_val * b_val).sum(),
         }[op]
         assert rel_err(a.grad, numeric_grad(ref, a_val)) < 1e-4
         assert rel_err(b.grad, numeric_grad(ref, b_val)) < 1e-4
 
-    def test_log_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(5)
-        x_val = rng.uniform(0.2, 1.0, (2, 2))
-        x = ad.param(x_val)
-        ad.backward(ad.sum_all(ad.log(x)))
-        fd = numeric_grad(lambda: np.log(x_val).sum(), x_val)
-        assert rel_err(x.grad, fd) < 1e-4
-
 
 class TestReduce:
-    def test_mean(self):
-        assert ad.mean_all(ad.const([2.0, 4.0, 6.0])).value[0, 0] == 4.0
-
     def test_sum_gradient_all_ones(self):
         x = ad.param(np.arange(6.0).reshape(2, 3))
         ad.backward(ad.sum_all(x))
         assert np.array_equal(x.grad, np.ones((2, 3)))
-
-    def test_rowsum_values_and_gradient(self):
-        x = ad.param([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.rowsum(x)
-        assert np.array_equal(out.value, [[3.0], [7.0]])
-        ad.backward(ad.sum_all(out))
-        assert np.array_equal(x.grad, np.ones((2, 2)))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ad.ShapeError, match="empty"):
@@ -303,9 +279,9 @@ class TestBackward:
         w_val = rng.uniform(-1, 1, (4, 3))
         n, w = ad.const(n_val), ad.param(w_val)
         product = ad.matmul(n, w)
-        grads = ad.backward(ad.sum_all(ad.exp(product)))
+        grads = ad.backward(ad.sum_all(ad.hadamard(product, product)))
         assert n.grad is None and product.parents == (w,)
-        fd = numeric_grad(lambda: np.exp(n_val @ w_val).sum(), w_val)
+        fd = numeric_grad(lambda: ((n_val @ w_val) ** 2).sum(), w_val)
         assert rel_err(grads[w], fd) < 1e-4
 
     def test_loss_without_parameters_returns_no_gradients(self):
@@ -333,7 +309,8 @@ class TestBackward:
             # the trainers' pattern: zero the parameter gradients, rebuild the graph
             a.grad[...] = 0.0
             b.grad[...] = 0.0
-            ad.backward(ad.sum_all(ad.exp(ad.matmul(a, b))))
+            product = ad.matmul(a, b)
+            ad.backward(ad.sum_all(ad.hadamard(product, product)))
             return a.grad.copy(), b.grad.copy()
 
         first_a, first_b = grads()
@@ -342,24 +319,71 @@ class TestBackward:
         assert np.array_equal(second_b, first_b)
 
 
-class TestComposites:
-    def test_softmax_rows_sum_to_one(self):
+class TestCrossEntropy:
+    def test_value_and_gradient_match_finite_differences(self):
         rng = np.random.default_rng(8)
         z_val = rng.uniform(-5, 5, (4, 6))
-        z = ad.const(z_val)
-        shift = ad.const(np.repeat(z_val.max(axis=1, keepdims=True), 6, axis=1))
-        e = ad.exp(ad.sub(z, shift))
-        s = ad.rowsum(e)
-        probs = ad.hadamard(e, ad.matmul(ad.reciprocal(s), ad.const(np.ones((1, 6)))))
-        assert np.all(np.abs(probs.value.sum(axis=1) - 1.0) < 1e-9)
+        labels = [0, 5, 2, 2]
+        z = ad.param(z_val)
+        out = ad.cross_entropy(z, labels)
+        ad.backward(out)
 
-    def test_reciprocal_and_sqrt(self):
-        x = ad.param([[4.0]])
-        r = ad.reciprocal(x)
-        assert abs(r.value[0, 0] - 0.25) < 1e-12
-        ad.backward(r)
-        assert abs(x.grad[0, 0] - (-1.0 / 16.0)) < 1e-10
-        assert abs(ad.sqrt_pos(ad.const([[9.0]])).value[0, 0] - 3.0) < 1e-12
+        def f():
+            return np.mean(np.logaddexp.reduce(z_val, axis=1) - z_val[np.arange(4), labels])
+
+        assert abs(out.value[0, 0] - f()) < 1e-12
+        assert rel_err(z.grad, numeric_grad(f, z_val)) < 1e-6
+
+    def test_huge_logits_stay_finite(self):
+        z = ad.param([[1000.0, -1000.0], [-1000.0, 1000.0], [1000.0, 1000.0]])
+        out = ad.cross_entropy(z, [1, 1, 0])
+        ad.backward(out)
+        assert abs(out.value[0, 0] - (2000.0 + np.log(2.0)) / 3) < 1e-9
+        assert np.array_equal(z.grad, [[1 / 3, -1 / 3], [0.0, 0.0], [-1 / 6, 1 / 6]])
+
+
+def unit_row_loss(a, b):
+    """Sum of rowwise cosines: the contrastive loss up to its -1/b factor."""
+    return ad.sum_all(ad.hadamard(ad.row_normalize(a), ad.row_normalize(b)))
+
+
+class TestRowNormalize:
+    def test_rows_have_unit_norm(self):
+        x = np.random.default_rng(9).normal(size=(5, 3)) * [[1e-6], [1.0], [3.0], [1e3], [1e8]]
+        out = ad.row_normalize(ad.const(x)).value
+        assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=1e-14, atol=0.0)
+        assert np.allclose(out * np.linalg.norm(x, axis=1, keepdims=True), x, rtol=1e-14)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(10)
+        a_val = rng.uniform(-1, 1, (4, 3))
+        b_val = rng.uniform(-1, 1, (4, 3))
+        a, b = ad.param(a_val), ad.param(b_val)
+        ad.backward(unit_row_loss(a, b))
+
+        def f():
+            cos = np.sum(a_val * b_val, axis=1)
+            return (cos / np.linalg.norm(a_val, axis=1) / np.linalg.norm(b_val, axis=1)).sum()
+
+        assert rel_err(a.grad, numeric_grad(f, a_val)) < 1e-6
+        assert rel_err(b.grad, numeric_grad(f, b_val)) < 1e-6
+
+    @pytest.mark.parametrize("length, alive", [(0.999e-12, False), (1.001e-12, True)])
+    def test_rows_at_most_1e_minus_24_squared_norm_are_dead(self, length, alive):
+        x = ad.param([[length, 0.0], [3.0, 4.0]])
+        out = ad.row_normalize(x)
+        ad.backward(ad.sum_all(ad.hadamard(out, ad.const([[0.0, 1.0], [0.0, 1.0]]))))
+        assert np.array_equal(out.value[0], [1.0, 0.0] if alive else [0.0, 0.0])
+        assert np.any(x.grad[0] != 0) == alive
+        assert np.allclose(x.grad[1], [-0.096, 0.072])  # (g - u (u.g)) / 5, u = (0.6, 0.8)
+
+    def test_a_dead_side_stops_the_gradient_of_both_sides(self):
+        a = ad.param([[0.0, 0.0], [1.0, 2.0]])
+        b = ad.param([[1.0, 1.0], [2.0, -1.0]])
+        ad.backward(unit_row_loss(a, b))
+        assert np.array_equal(a.grad[0], [0.0, 0.0])
+        assert np.array_equal(b.grad[0], [0.0, 0.0])
+        assert np.all(a.grad[1] != 0) and np.all(b.grad[1] != 0)
 
 
 class TestAdam:

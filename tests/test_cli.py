@@ -222,7 +222,27 @@ def test_ablate_numeric_failure_in_a_worker_exits_4(tmp_path, capsys):
     rc = main(["ablate", "--out", str(tmp_path / "ab"), "--seeds", "2",
                "--set", "lr=1e300", *TINY_ABLATE])
     assert rc == 4
-    assert capsys.readouterr().err.splitlines()[-1] == "error: log: input has non-positive entries"
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: non-finite validation logits at epoch 0"
+    )
+
+
+@pytest.mark.parametrize("val_fraction, message", [
+    ("0.1", "error: non-finite validation logits at epoch 0"),
+    ("0", "error: non-finite augmentation radius at epoch 1"),
+])
+def test_diverged_train_exits_4_and_writes_no_checkpoint(tmp_path, capsys, val_fraction, message):
+    data, manifest, run = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "run"
+    assert main(["gen-synth", "--out", str(data),
+                 "--set", "n_events=8", "--set", "instances_per_event=5"]) == 0
+    assert main(["split", "--data", str(data), "--out", str(manifest),
+                 "--set", f"val_fraction={val_fraction}"]) == 0
+    with np.errstate(all="ignore"):  # lr=1e300 overflows the weights on purpose
+        rc = main(["train", "--data", str(data), "--split", str(manifest), "--out", str(run),
+                   "--set", "lr=1e300", "--set", "epochs=3"])
+    assert rc == 4
+    assert capsys.readouterr().err.splitlines()[-1] == message
+    assert not run.exists()
 
 
 def test_ablate_bad_out_exits_3_before_any_seed_runs(tmp_path, capsys, monkeypatch):

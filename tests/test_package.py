@@ -1,0 +1,29 @@
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import fade
+
+MODULES = [importlib.import_module(m.name) for m in pkgutil.iter_modules(fade.__path__, "fade.")]
+EXPORTING = [m for m in MODULES if hasattr(m, "__all__")]
+
+
+def test_every_library_module_declares_all():
+    # fade.cli is the command-line entry point, not an import surface
+    assert sorted(m.__name__ for m in MODULES if m not in EXPORTING) == ["fade.cli"]
+
+
+@pytest.mark.parametrize("module", EXPORTING, ids=lambda m: m.__name__)
+def test_all_lists_every_public_function_and_only_existing_names(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == [], f"{module.__name__}.__all__ names undefined {missing}"
+    public_functions = {
+        name for name, obj in vars(module).items()
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__
+        and not name.startswith("_")
+    }
+    assert sorted(public_functions - set(module.__all__)) == []
+    assert len(set(module.__all__)) == len(module.__all__)
+    exec(f"from {module.__name__} import *", {})

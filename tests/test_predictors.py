@@ -436,6 +436,15 @@ def test_train_target_nonfinite_features_raise_training_error():
         train_target(ds, train, val, hp, seed=0, arch=SMALL)
 
 
+@pytest.mark.parametrize("trainer", [train_target, train_event_only])
+def test_diverged_run_raises_on_non_finite_validation_logits(trainer):
+    ds = make_dataset(seed=1)
+    train, val = split_ids(ds, 3)
+    hp = Hyperparams(epochs=3, batch_size=64, lr=1e300)  # one batch per epoch
+    with np.errstate(all="ignore"), pytest.raises(TrainingError, match="logits at epoch 0$"):
+        trainer(ds, train, val, hp, seed=0, arch=SMALL)
+
+
 # ---------------------------------------------------------------------------
 # full-objective gradient check
 
