@@ -76,9 +76,20 @@ def _write_json(path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _build_config(args) -> RunConfig:
+# Keys that only `split` reads.  The commands that read a manifest reject them
+# on the command line, where they would otherwise be ignored silently; config
+# files are shared across commands and may hold them.
+SPLIT_KEYS = ("split_mode", "val_fraction", "train_parts", "test_parts")
+
+
+def _build_config(args, reads_manifest: bool = False) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     cfg.apply_overrides(args.set)
+    if reads_manifest:
+        for pair in args.set:
+            key = pair.split("=", 1)[0].strip()
+            if key in SPLIT_KEYS:
+                raise ConfigError(f"--set {key}: not used here, the split comes from the manifest")
     return cfg
 
 
@@ -175,7 +186,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, reads_manifest=True)
     cfg.validate()
     ds, manifest = _load_inputs(args.data, args.split)
     hyper = cfg.hyperparams()
@@ -218,7 +229,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, reads_manifest=True)
     cfg.validate()
     ds, manifest = _load_inputs(args.data, args.split)
     target, event_only = _load_run(args.run)
@@ -245,7 +256,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, reads_manifest=True)
     cfg.validate()
     ds, manifest = _load_inputs(args.data, args.split, require_manifest=False)
     target, event_only = _load_run(args.run)

@@ -42,8 +42,8 @@ class DatasetError(Exception):
 
 
 class DatasetParseError(DatasetError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path, line_no: int, message: str):
+        super().__init__(f"{path}: line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -217,30 +217,35 @@ def degree_buckets(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> l
     return buckets
 
 
-def _require(record: dict, key: str, line_no: int):
+def _require(record: dict, key: str, path, line_no: int):
     if key not in record:
-        raise DatasetParseError(line_no, f"missing field {key!r}")
+        raise DatasetParseError(path, line_no, f"missing field {key!r}")
     return record[key]
 
 
 def load_dataset(path) -> Dataset:
     """Read and validate a JSON-Lines dataset file."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        lines = blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        line_no = blob.count(b"\n", 0, e.start) + 1
+        raise DatasetParseError(path, line_no, f"not UTF-8: {e}") from None
     if not lines or not lines[0].strip():
-        raise DatasetParseError(1, "missing header line")
+        raise DatasetParseError(path, 1, "missing header line")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
-        raise DatasetParseError(1, f"bad header JSON: {e}") from None
+        raise DatasetParseError(path, 1, f"bad header JSON: {e}") from None
     if not isinstance(header, dict):
-        raise DatasetParseError(1, "header must be a JSON object")
-    classes = _require(header, "classes", 1)
-    feature_dim = _require(header, "feature_dim", 1)
+        raise DatasetParseError(path, 1, "header must be a JSON object")
+    classes = _require(header, "classes", path, 1)
+    feature_dim = _require(header, "feature_dim", path, 1)
     if not isinstance(classes, list) or not classes:
-        raise DatasetParseError(1, "classes must be a non-empty list")
+        raise DatasetParseError(path, 1, "classes must be a non-empty list")
     if not isinstance(feature_dim, int) or feature_dim < 1:
-        raise DatasetParseError(1, "feature_dim must be a positive integer")
+        raise DatasetParseError(path, 1, "feature_dim must be a positive integer")
 
     ds = Dataset(class_names=[str(c) for c in classes], feature_dim=feature_dim)
     for line_no, line in enumerate(lines[1:], start=2):
@@ -249,34 +254,36 @@ def load_dataset(path) -> Dataset:
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
-            raise DatasetParseError(line_no, f"bad JSON: {e}") from None
+            raise DatasetParseError(path, line_no, f"bad JSON: {e}") from None
         if not isinstance(rec, dict):
-            raise DatasetParseError(line_no, "instance line must be a JSON object")
-        inst_id = str(_require(rec, "id", line_no))
-        n = _require(rec, "n", line_no)
+            raise DatasetParseError(path, line_no, "instance line must be a JSON object")
+        inst_id = str(_require(rec, "id", path, line_no))
+        n = _require(rec, "n", path, line_no)
         if not isinstance(n, int):
-            raise DatasetParseError(line_no, "n must be an integer")
-        edges_raw = _require(rec, "edges", line_no)
-        x_raw = _require(rec, "x", line_no)
+            raise DatasetParseError(path, line_no, "n must be an integer")
+        edges_raw = _require(rec, "edges", path, line_no)
+        x_raw = _require(rec, "x", path, line_no)
         try:
             edges = [[int(p), int(c)] for p, c in edges_raw]
         except (TypeError, ValueError):
-            raise DatasetParseError(line_no, "edges must be [parent, child] pairs") from None
+            raise DatasetParseError(path, line_no, "edges must be [parent, child] pairs") from None
         try:
             x = np.asarray(x_raw, dtype=np.float64)
-        except ValueError:
-            raise DatasetParseError(line_no, "x must be a rectangular array of reals") from None
+        except (TypeError, ValueError):  # ragged rows, or an object such as {"a": 1}
+            raise DatasetParseError(
+                path, line_no, "x must be a rectangular array of reals"
+            ) from None
         if x.ndim != 2:
-            raise DatasetParseError(line_no, "x must be a 2-D array")
-        label = _require(rec, "label", line_no)
+            raise DatasetParseError(path, line_no, "x must be a 2-D array")
+        label = _require(rec, "label", path, line_no)
         if not isinstance(label, int):
-            raise DatasetParseError(line_no, "label must be an integer")
+            raise DatasetParseError(path, line_no, "label must be an integer")
         ds.instances.append(
             NewsInstance(
                 id=inst_id,
                 graph=PropagationGraph(n=n, x=x, edges=edges),
                 label=label,
-                event=str(_require(rec, "event", line_no)),
+                event=str(_require(rec, "event", path, line_no)),
             )
         )
     ds.validate()

@@ -12,8 +12,9 @@ checkpoint, through one shared training loop.
 from __future__ import annotations
 
 import copy
-import struct
+import io
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,6 +67,7 @@ class ProjectionParams:
 
 @dataclass
 class TargetPredictorParams:
+    kind: ClassVar[str] = "target"
     encoder: EncoderParams
     classifier: AffineParams
     projection: ProjectionParams
@@ -81,6 +83,7 @@ class TargetPredictorParams:
 
 @dataclass
 class EventOnlyPredictorParams:
+    kind: ClassVar[str] = "event_only"
     encoder: EncoderParams
     classifier: AffineParams
 
@@ -116,9 +119,7 @@ class ArchConfig:
 
 def _base_tensors(enc: EncoderParams, clf: AffineParams) -> dict[str, np.ndarray]:
     """Encoder and classifier tensors, in checkpoint order."""
-    out = {"encoder.pooling_mode": np.array([[0.0 if enc.pooling == "mean" else 1.0]])}
-    for i, layer in enumerate(enc.layers):
-        out[f"encoder.layer.{i}"] = layer
+    out = {f"encoder.layer.{i}": layer for i, layer in enumerate(enc.layers)}
     out["classifier.weight"] = clf.w
     out["classifier.bias"] = clf.b
     return out
@@ -246,6 +247,9 @@ def _setup(ds: Dataset, train_ids, val_ids, hyper: Hyperparams, seed: int, arch:
     return train, val, rng, encoder, classifier
 
 
+# A diverging run overflows; the finite checks below turn that into one
+# TrainingError instead of a RuntimeWarning per overflowing operation.
+@np.errstate(all="ignore")
 def _fit(params, hyper: Hyperparams, n_train: int, val, forward, epoch_batches, batch_loss):
     """Adam over every tensor of ``params``, keeping the best-validation copy.
 
@@ -257,8 +261,7 @@ def _fit(params, hyper: Hyperparams, n_train: int, val, forward, epoch_batches, 
     The nodes wrap the parameter arrays themselves, so Adam's in-place
     updates are what ``params`` holds.
     """
-    nodes = {name: ad.param(tensor) for name, tensor in params.named_tensors().items()
-             if name != "encoder.pooling_mode"}
+    nodes = {name: ad.param(tensor) for name, tensor in params.named_tensors().items()}
     ordered = sorted(nodes)
     arrays = [nodes[n].value for n in ordered]
     state = ad.adam_init(arrays)
@@ -402,88 +405,58 @@ def train_event_only(
 # ---------------------------------------------------------------------------
 # checkpoints
 
-MAGIC = b"FADE"
-FORMAT_VERSION = 1
-
 
 class CheckpointError(Exception):
     """Unreadable, corrupt, or wrong-version checkpoint file."""
 
 
 def save_checkpoint(params, path) -> None:
-    """Binary checkpoint: magic, version, then length-prefixed named tensors."""
-    tensors = params.named_tensors()
+    """Uncompressed ``.npz`` archive: 0-d strings ``kind`` and ``pooling``, then
+    every named tensor as float64.  The zip container keeps a CRC-32 per member."""
     with atomic_write(path, binary=True) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        for name, tensor in tensors.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<Q", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<QQ", tensor.shape[0], tensor.shape[1]))
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        tensors = {n: np.asarray(t, dtype=np.float64) for n, t in params.named_tensors().items()}
+        np.savez(fh, kind=params.kind, pooling=params.encoder.pooling, **tensors)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into target or event-only parameter objects.
+    """Read a checkpoint back into the parameter class its ``kind`` names.
 
-    Every length field is checked against the bytes left in the file before
-    it is used, so a corrupt file raises CheckpointError naming the file.
+    Anything wrong with the file's contents raises CheckpointError naming the
+    file; every member is read whole, so a flipped bit fails its CRC-32.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if n > len(blob) - pos:
-            raise CheckpointError(f"corrupt checkpoint {path}: truncated while reading {what}")
-        pos += n
-        return blob[pos - n : pos]
-
-    if take(4, "magic") != MAGIC:
-        raise CheckpointError(f"corrupt checkpoint {path}: bad magic bytes")
-    (version,) = struct.unpack("<I", take(4, "version"))
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path}: format version {version} unsupported (expected {FORMAT_VERSION})"
-        )
-    tensors: dict[str, np.ndarray] = {}
-    while pos < len(blob):
-        (name_len,) = struct.unpack("<Q", take(8, "name length"))
-        try:
-            name = take(name_len, "tensor name").decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"corrupt checkpoint {path}: tensor name is not UTF-8") from None
-        rows, cols = struct.unpack("<QQ", take(16, f"shape of {name}"))
-        raw = take(rows * cols * 8, f"data of {name}")
-        try:
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-        except ValueError:
-            raise CheckpointError(f"corrupt checkpoint {path}: bad shape of {name}") from None
-
+    if blob.startswith(b"FADE"):
+        raise CheckpointError(f"checkpoint {path}: format v1 is no longer read; retrain")
     try:
-        pooling_mode = tensors.pop("encoder.pooling_mode")
-        pooling = "mean" if pooling_mode[0, 0] == 0.0 else "add"
-        layer_names = sorted(
-            (n for n in tensors if n.startswith("encoder.layer.")),
-            key=lambda n: int(n.rsplit(".", 1)[1]),
-        )
-        encoder = EncoderParams(layers=[tensors[n] for n in layer_names], pooling=pooling)
-        classifier = AffineParams(w=tensors["classifier.weight"], b=tensors["classifier.bias"])
-        if "projection.w1" in tensors:
-            return TargetPredictorParams(
-                encoder=encoder,
-                classifier=classifier,
-                projection=ProjectionParams(
-                    w1=tensors["projection.w1"],
-                    b1=tensors["projection.b1"],
-                    w2=tensors["projection.w2"],
-                    b2=tensors["projection.b2"],
-                ),
-            )
-        return EventOnlyPredictorParams(encoder=encoder, classifier=classifier)
+        with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
+            bad = npz.zip.testzip()
+            if bad is not None:
+                raise ValueError(f"bad CRC-32 for member {bad}")
+            t = {name: npz[name] for name in npz.files}
+    except Exception as e:  # the bytes are in memory, so any failure is a corrupt file
+        raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
+    kind, pooling = str(t.pop("kind", None)), str(t.pop("pooling", None))
+    if kind not in ("target", "event_only"):
+        raise CheckpointError(f"corrupt checkpoint {path}: unknown kind {kind!r}")
+    for name, tensor in t.items():
+        if not (isinstance(tensor, np.ndarray) and tensor.ndim == 2 and tensor.dtype == np.float64):
+            raise CheckpointError(f"corrupt checkpoint {path}: {name} is not a 2-D float64 array")
+    try:
+        n_layers = sum(name.startswith("encoder.layer.") for name in t)
+        encoder = EncoderParams([t[f"encoder.layer.{i}"] for i in range(n_layers)], pooling)
+        encoder.validate()
+        classifier = AffineParams(w=t["classifier.weight"], b=t["classifier.bias"])
+        if kind == "event_only":
+            params = EventOnlyPredictorParams(encoder, classifier)
+        else:
+            params = TargetPredictorParams(encoder, classifier, ProjectionParams(
+                *(t[f"projection.{n}"] for n in ("w1", "b1", "w2", "b2"))))
     except KeyError as e:
         raise CheckpointError(f"corrupt checkpoint {path}: missing tensor {e}") from None
-    except (IndexError, ValueError) as e:  # an empty pooling flag, a non-numeric layer index
+    except ValueError as e:  # a bad pooling name or layer chain, from EncoderParams.validate
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
+    extra = sorted(set(t) - set(params.named_tensors()))
+    if extra:
+        raise CheckpointError(f"corrupt checkpoint {path}: unexpected tensors {extra}")
+    return params

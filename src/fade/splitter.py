@@ -193,7 +193,7 @@ def load_manifest(path, ds: Dataset | None = None) -> SplitManifest:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # bad JSON, or bytes that are not UTF-8
             raise SplitError(f"manifest {path}: bad JSON: {e}") from None
     if not isinstance(payload, dict):
         raise SplitError(f"manifest {path}: expected a JSON object")

@@ -245,6 +245,27 @@ def test_diverged_train_exits_4_and_writes_no_checkpoint(tmp_path, capsys, val_f
     assert not run.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_diverged_run_prints_only_the_error_line(tmp_path, command):
+    # Run as a user would: in a new process, outside the suite's
+    # warnings-as-errors filter, so a numpy RuntimeWarning would show on stderr.
+    data, manifest = tmp_path / "d.jsonl", tmp_path / "m.json"
+    if command == "train":
+        assert main(["gen-synth", "--out", str(data),
+                     "--set", "n_events=8", "--set", "instances_per_event=5"]) == 0
+        assert main(["split", "--data", str(data), "--out", str(manifest)]) == 0
+        argv = ["train", "--data", str(data), "--split", str(manifest), "--out",
+                str(tmp_path / "run"), "--set", "lr=1e300", "--set", "epochs=3"]
+    else:
+        argv = ["ablate", "--out", str(tmp_path / "ab"), "--seeds", "2",
+                "--set", "lr=1e300", *TINY_ABLATE]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-m", "fade.cli", *argv], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert result.returncode == 4
+    assert result.stderr == "error: non-finite validation logits at epoch 0\n"
+
+
 def test_ablate_bad_out_exits_3_before_any_seed_runs(tmp_path, capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
@@ -267,6 +288,28 @@ def test_importing_cli_loads_no_process_pool_modules():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("key", cli.SPLIT_KEYS)
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_split_key_override_on_manifest_command_exits_2(workspace, tmp_path, capsys, command, key):
+    argv = [command, "--data", workspace["data"], "--split", workspace["manifest"],
+            "--set", f"{key}=0", "--out", str(tmp_path / "out")]
+    if command != "train":
+        argv += ["--run", workspace["run"]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: --set {key}: not used here, the split comes from the manifest\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_split_keys_in_a_config_file_are_accepted(workspace, tmp_path, capsys):
+    config = tmp_path / "shared.cfg"
+    config.write_text("split_mode = mixed\nval_fraction = 0\n")
+    rc = main(["eval", "--data", workspace["data"], "--split", workspace["manifest"],
+               "--run", workspace["run"], "--config", str(config), "--beta", "0"])
+    assert rc == 0
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     rc = main(["gen-synth", "--out", str(tmp_path / "x.jsonl"), "--set", "nope=1"])
     assert rc == 2
@@ -280,17 +323,20 @@ def test_missing_data_file_exits_3(tmp_path, capsys):
 
 
 def test_corrupt_checkpoint_exits_3(workspace, tmp_path, capsys):
-    inputs = [b"not a checkpoint"]
-    # A high bit in the first name length or row count, a 0xff name byte.
-    for offset, bits in ((15, 0x80), (43, 0x80), (16, 0xFF)):
-        blob = bytearray((workspace["root"] / "run" / "target.ckpt").read_bytes())
-        blob[offset] |= bits
-        inputs.append(bytes(blob))
-    for n, blob in enumerate(inputs):
+    blob = (workspace["root"] / "run" / "target.ckpt").read_bytes()
+    # The first byte of classifier.weight's data, after its .npy header line.
+    data_byte = blob.index(b"\n", blob.index(b"NUMPY", blob.index(b"classifier.weight"))) + 1
+    inputs = [
+        b"not a checkpoint",
+        blob[: len(blob) // 2],
+        blob[:data_byte] + bytes([blob[data_byte] ^ 0x01]) + blob[data_byte + 1 :],
+        b"FADE" + (1).to_bytes(4, "little") + blob[8:],
+    ]
+    for n, bad_blob in enumerate(inputs):
         bad = tmp_path / f"badrun{n}"
         bad.mkdir()
-        (bad / "target.ckpt").write_bytes(blob)
-        (bad / "event_only.ckpt").write_bytes(blob)
+        (bad / "target.ckpt").write_bytes(bad_blob)
+        (bad / "event_only.ckpt").write_bytes(bad_blob)
         rc = main(["eval", "--data", workspace["data"], "--split", workspace["manifest"],
                    "--run", str(bad), "--beta", "0"])
         assert rc == 3, n

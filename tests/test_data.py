@@ -5,6 +5,7 @@ import pytest
 
 from fade.data import (
     Dataset,
+    DatasetError,
     DatasetParseError,
     DatasetValidationError,
     NewsInstance,
@@ -15,6 +16,8 @@ from fade.data import (
     normalized_adjacency,
     save_dataset,
 )
+from fade.predictors import EventOnlyPredictorParams
+from fade.splitter import SplitError, SplitManifest, load_manifest, save_manifest
 
 
 def messy_graph(rng, n):
@@ -160,6 +163,14 @@ class TestIO:
         with pytest.raises(DatasetParseError, match="line 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("x", ['{"a": 1}', '[[1, 2], [3]]', '"abc"'])
+    def test_non_numeric_x_is_a_parse_error_naming_file_and_line(self, tmp_path, x):
+        path = tmp_path / "bad.jsonl"
+        rec = '{"id": "q", "event": "e", "label": 0, "n": 1, "edges": [], "x": ' + x + "}"
+        path.write_text('{"classes": ["N", "F"], "feature_dim": 2}\n' + rec + "\n")
+        with pytest.raises(DatasetParseError, match="bad.jsonl: line 2: x must be a rectangular"):
+            load_dataset(path)
+
     def test_missing_header_field(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"classes": ["N", "F"]}\n')
@@ -221,12 +232,43 @@ class TestIO:
         )
         assert ds.events() == ["x", "y"]
 
+    @pytest.mark.parametrize("kind", ["dataset", "manifest"])
+    def test_truncated_or_flipped_file_raises_typed_error_or_loads(self, tmp_path, kind):
+        rng = np.random.default_rng(0)
+        ds = Dataset(class_names=["real", "fake"], feature_dim=3, instances=[
+            NewsInstance(f"n{i}", PropagationGraph(3, rng.normal(size=(3, 3)), [[0, 1], [0, 2]]),
+                         i % 2, f"e{i % 4}")
+            for i in range(8)
+        ])
+        path = tmp_path / kind
+        if kind == "dataset":
+            save_dataset(ds, path)  # 2.2 kB
+            load, error = load_dataset, DatasetError
+        else:
+            save_manifest(SplitManifest(["n0", "n1", "n4", "n5"], ["n2", "n6"], ["n3", "n7"]), path)
+            load, error = lambda p: load_manifest(p, ds).assert_valid(ds, False), SplitError
+        blob = path.read_bytes()
+        cases = [(blob[:end], False) for end in range(len(blob))]
+        for offset in range(len(blob)):
+            for bit in (0x01, 0x80):  # 0x80 makes the byte invalid UTF-8
+                flipped = bytearray(blob)
+                flipped[offset] ^= bit
+                cases.append((bytes(flipped), bit == 0x80))
+        for case, not_utf8 in cases:
+            path.write_bytes(case)
+            try:
+                load(path)
+            except error as e:
+                assert not not_utf8 or str(path) in str(e), str(e)
+            else:
+                assert not not_utf8
 
-class _FailingParams:
-    """Checkpoint input whose second tensor cannot be encoded as float64."""
+
+class _FailingParams(EventOnlyPredictorParams):
+    """Event-only weights plus a last tensor that cannot be encoded as float64."""
 
     def named_tensors(self):
-        return {"a": np.ones((2, 2)), "b": np.array([["not a number"]], dtype=object)}
+        return {**super().named_tensors(), "b": np.array([["not a number"]], dtype=object)}
 
 
 def _dataset_failing_at_second_instance():
@@ -244,14 +286,14 @@ def _write_dataset(path, fail):
 
 def _write_checkpoint(path, fail):
     from fade.encoder import init_encoder
-    from fade.predictors import AffineParams, EventOnlyPredictorParams, save_checkpoint
+    from fade.predictors import AffineParams, save_checkpoint
 
     rng = np.random.default_rng(0)
-    params = EventOnlyPredictorParams(
+    params = (_FailingParams if fail else EventOnlyPredictorParams)(
         encoder=init_encoder(3, 4, 1, rng),
         classifier=AffineParams(w=rng.normal(size=(4, 2)), b=np.zeros((1, 2))),
     )
-    save_checkpoint(_FailingParams() if fail else params, path)
+    save_checkpoint(params, path)
 
 
 def _write_manifest(path, fail):

@@ -616,53 +616,74 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_wrong_version(tmp_path):
-    target, _ = trained_pair(tmp_path)
-    path = tmp_path / "v9.ckpt"
-    save_checkpoint(target, path)
-    blob = bytearray(path.read_bytes())
-    blob[4:8] = (99).to_bytes(4, "little")
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="version"):
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(b"FADE" + (1).to_bytes(4, "little") + b"\x00" * 64)
+    with pytest.raises(CheckpointError, match="v1.ckpt: format v1 is no longer read; retrain"):
         load_checkpoint(path)
 
 
 def flip(blob: bytes, offset: int, bits: int) -> bytes:
     out = bytearray(blob)
-    out[offset] |= bits
+    out[offset] ^= bits
     return bytes(out)
 
 
-# Byte offsets in a checkpoint: magic 0-3, version 4-7, then the first
-# tensor's name length 8-15, its 20-byte name 16-35 and its row count 36-43.
+def tensor_bytes(params) -> dict:
+    return {name: (t.shape, t.tobytes()) for name, t in params.named_tensors().items()}
+
+
 def test_checkpoint_truncated(tmp_path):
     target, _ = trained_pair(tmp_path)
     path = tmp_path / "trunc.ckpt"
     save_checkpoint(target, path)
     blob = path.read_bytes()
-    # A cut file, then length fields that claim more bytes than the file has:
-    # a high bit in the name length (once a MemoryError) or in the row count
-    # (once an OverflowError).
-    for bad in (blob[: len(blob) - 7], flip(blob, 15, 0x80), flip(blob, 43, 0x80)):
-        path.write_bytes(bad)
-        with pytest.raises(CheckpointError, match="trunc.ckpt: truncated"):
+    # Once a cut right after classifier.bias loaded as EventOnlyPredictorParams.
+    for end in range(len(blob)):
+        path.write_bytes(blob[:end])
+        with pytest.raises(CheckpointError, match="trunc.ckpt"):
             load_checkpoint(path)
 
 
-def test_checkpoint_name_not_utf8(tmp_path):
+def test_checkpoint_bit_flips_fail_or_change_nothing(tmp_path):
     target, _ = trained_pair(tmp_path)
-    path = tmp_path / "name.ckpt"
+    path = tmp_path / "flip.ckpt"
     save_checkpoint(target, path)
-    path.write_bytes(flip(path.read_bytes(), 16, 0xFF))  # once a UnicodeDecodeError
-    with pytest.raises(CheckpointError, match="name.ckpt: tensor name"):
+    blob = path.read_bytes()
+    expected = tensor_bytes(target)
+    for offset in range(len(blob)):
+        path.write_bytes(flip(blob, offset, 0x01))
+        try:
+            params = load_checkpoint(path)
+        except CheckpointError as e:
+            assert "flip.ckpt" in str(e)
+            continue
+        assert isinstance(params, TargetPredictorParams), offset
+        assert params.encoder.pooling == target.encoder.pooling, offset
+        assert tensor_bytes(params) == expected, offset
+
+
+def test_checkpoint_shrunk_shape_fails_crc(tmp_path):
+    # numpy reads a member only as far as its .npy header's shape says, and
+    # zipfile checks the CRC-32 when a read reaches the member's end.  Turning
+    # the '3' of (64, 32) into '2' leaves a third of a 16 kB tensor unread.
+    ds = make_dataset(seed=30)
+    train, val = split_ids(ds, 3)
+    arch = ArchConfig(hidden_dim=64, n_layers=1, proj_dim=32)
+    target, _ = train_target(ds, train, val, Hyperparams(epochs=1), seed=0, arch=arch)
+    path = tmp_path / "shape.ckpt"
+    save_checkpoint(target, path)
+    blob = path.read_bytes()
+    path.write_bytes(flip(blob, blob.index(b"'shape': (64, 32)") + len("'shape': (64, "), 0x01))
+    with pytest.raises(CheckpointError, match="shape.ckpt: bad CRC-32 for member projection.w1"):
         load_checkpoint(path)
 
 
 def test_checkpoint_missing_tensor(tmp_path):
-    path = tmp_path / "empty.ckpt"
-    import struct
-
-    with open(path, "wb") as fh:
-        fh.write(b"FADE")
-        fh.write(struct.pack("<I", 1))
-    with pytest.raises(CheckpointError, match="missing"):
+    target, _ = trained_pair(tmp_path)
+    tensors = target.named_tensors()
+    del tensors["classifier.bias"]
+    path = tmp_path / "partial.ckpt"
+    with path.open("wb") as fh:
+        np.savez(fh, kind="target", pooling="mean", **tensors)
+    with pytest.raises(CheckpointError, match="partial.ckpt: missing tensor 'classifier.bias'"):
         load_checkpoint(path)
