@@ -101,7 +101,10 @@ def _load_inputs(data_path, split_path, require_manifest=True):
         manifest = load_manifest(split_path, ds)
         # Coverage/disjointness only: mixed manifests are legal inputs here,
         # so event separation is not asserted at this layer.
-        manifest.assert_valid(ds, event_separated=False)
+        try:
+            manifest.assert_valid(ds, event_separated=False)
+        except SplitError as e:
+            raise SplitError(f"manifest {split_path}: {e}") from None
     elif require_manifest:
         raise ConfigError("a split manifest is required (--split)")
     return ds, manifest
@@ -194,13 +197,7 @@ def cmd_train(args) -> int:
 
     t0 = time.perf_counter()
     target, target_log = train_target(
-        ds,
-        manifest.train_ids,
-        manifest.val_ids,
-        hyper,
-        seed=args.seed,
-        arch=arch,
-        num_candidates=cfg.get("num_candidates"),
+        ds, manifest.train_ids, manifest.val_ids, hyper, seed=args.seed, arch=arch
     )
     event_only, event_log = train_event_only(
         ds, manifest.train_ids, manifest.val_ids, hyper, seed=args.seed, arch=arch
@@ -304,8 +301,7 @@ def _ablate_one_seed(cfg: RunConfig, seed: int) -> dict:
     sep = event_separated_split(ds, ratios, seed)
     mixed = event_mixed_split(ds, ratios, seed)
 
-    target, _ = train_target(ds, sep.train_ids, sep.val_ids, hyper, seed=seed, arch=arch,
-                             num_candidates=cfg.get("num_candidates"))
+    target, _ = train_target(ds, sep.train_ids, sep.val_ids, hyper, seed=seed, arch=arch)
     event_only, _ = train_event_only(ds, sep.train_ids, sep.val_ids, hyper, seed=seed, arch=arch)
     hyper0 = replace(hyper, alpha=0.0)
     plain, _ = train_target(ds, sep.train_ids, sep.val_ids, hyper0, seed=seed, arch=arch)

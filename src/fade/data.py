@@ -48,9 +48,11 @@ class DatasetParseError(DatasetError):
 
 
 class DatasetValidationError(DatasetError):
-    def __init__(self, instance_id: str, message: str):
-        super().__init__(f"instance {instance_id!r}: {message}")
+    def __init__(self, instance_id: str, message: str, path=None):
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}instance {instance_id!r}: {message}")
         self.instance_id = instance_id
+        self.message = message
 
 
 @dataclass
@@ -286,7 +288,10 @@ def load_dataset(path) -> Dataset:
                 event=str(_require(rec, "event", path, line_no)),
             )
         )
-    ds.validate()
+    try:
+        ds.validate()
+    except DatasetValidationError as e:
+        raise DatasetValidationError(e.instance_id, e.message, path) from None
     return ds
 
 

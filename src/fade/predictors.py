@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Node, TrainingError
 from .augmentation import AugmentationContext, augment, compute_radius
 from .data import Dataset, NewsInstance, atomic_write
-from .encoder import EncoderParams, encode_all, encode_batch_node, init_encoder
+from .encoder import POOLINGS, EncoderParams, encode_all, encode_batch_node, init_encoder
 
 __all__ = [
     "AffineParams",
@@ -93,12 +93,13 @@ class EventOnlyPredictorParams:
 
 @dataclass
 class Hyperparams:
-    """Trade-off weight for the contrastive term plus the training knobs."""
+    """Contrastive weight, augmentation candidates per sample, and the training knobs."""
 
     alpha: float = 0.3
     epochs: int = 25
     batch_size: int = 64
     lr: float = 1e-3
+    num_candidates: int = 10
 
     def validate(self) -> None:
         if not np.isfinite(self.alpha) or self.alpha < 0:
@@ -107,6 +108,8 @@ class Hyperparams:
             raise ValueError("epochs and batch_size must be >= 1")
         if not np.isfinite(self.lr) or self.lr <= 0:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.num_candidates < 1:
+            raise ValueError(f"num_candidates must be >= 1, got {self.num_candidates}")
 
 
 @dataclass
@@ -115,6 +118,12 @@ class ArchConfig:
     n_layers: int = 2
     pooling: str = "mean"
     proj_dim: int = 32
+
+    def validate(self) -> None:
+        if self.hidden_dim < 1 or self.n_layers < 1 or self.proj_dim < 1:
+            raise ValueError("hidden_dim, n_layers, and proj_dim must all be >= 1")
+        if self.pooling not in POOLINGS:
+            raise ValueError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
 
 
 def _base_tensors(enc: EncoderParams, clf: AffineParams) -> dict[str, np.ndarray]:
@@ -233,6 +242,7 @@ def _event_batches(insts: list[NewsInstance], batch_size: int, rng) -> list[list
 def _setup(ds: Dataset, train_ids, val_ids, hyper: Hyperparams, seed: int, arch: ArchConfig):
     """Resolved splits, the seeded generator, and a fresh encoder and classifier."""
     hyper.validate()
+    arch.validate()
     by_id = ds.by_id()
     train = [by_id[i] for i in train_ids]
     val = [by_id[i] for i in val_ids]
@@ -311,7 +321,6 @@ def train_target(
     hyper: Hyperparams,
     seed: int,
     arch: ArchConfig | None = None,
-    num_candidates: int = 10,
 ) -> tuple[TargetPredictorParams, list[dict]]:
     """Train the target predictor on an event-separated train split.
 
@@ -334,7 +343,7 @@ def train_target(
         ),
     )
     graphs = [inst.graph for inst in train]
-    ctx = AugmentationContext(radius=0.0, num_candidates=num_candidates, rng_seed=seed)
+    ctx = AugmentationContext(radius=0.0, num_candidates=hyper.num_candidates, rng_seed=seed)
 
     def epoch_batches(epoch):
         if hyper.alpha > 0:

@@ -383,3 +383,48 @@ def test_numeric_failure_exits_4(workspace, tmp_path, capsys, monkeypatch):
                "--out", str(tmp_path / "z"), *FAST])
     assert rc == 4
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("split", "train_parts", "nan"),
+    ("split", "train_parts", "inf"),
+    ("split", "test_parts", "inf"),
+    ("gen-synth", "size_sigma", "nan"),
+    ("gen-synth", "noise_sigma", "nan"),
+    ("gen-synth", "signature_diversity", "inf"),
+])
+def test_non_finite_config_value_exits_2(workspace, tmp_path, capsys, command, key, value):
+    argv = [command, "--set", f"{key}={value}", "--out", str(tmp_path / "out")]
+    if command == "split":
+        argv += ["--data", workspace["data"]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {key}: expected a finite number, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_invalid_dataset_exits_3_naming_the_file(workspace, tmp_path, capsys):
+    header, first, *rest = Path(workspace["data"]).read_text(encoding="utf-8").splitlines()
+    rec = json.loads(first)
+    rec["x"] = [row[:-1] for row in rec["x"]]
+    bad = tmp_path / "short.jsonl"
+    bad.write_text("\n".join([header, json.dumps(rec), *rest]) + "\n", encoding="utf-8")
+    rc = main(["train", "--data", str(bad), "--split", workspace["manifest"],
+               "--out", str(tmp_path / "z"), *FAST])
+    assert rc == 3
+    dim = len(rec["x"][0]) + 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: instance {rec['id']!r}: feature dim {dim - 1} != dataset dim {dim}\n"
+    )
+
+
+def test_manifest_listing_an_id_twice_exits_3_naming_the_file(workspace, tmp_path, capsys):
+    payload = json.loads(Path(workspace["manifest"]).read_text(encoding="utf-8"))
+    payload["test"].append(payload["train"][0])
+    manifest = tmp_path / "twice.json"
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["train", "--data", workspace["data"], "--split", str(manifest),
+               "--out", str(tmp_path / "z"), *FAST])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: manifest {manifest}: manifest assigns some instance twice\n"
+    )

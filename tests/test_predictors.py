@@ -427,6 +427,36 @@ def test_train_target_rejects_negative_alpha():
         train_target(ds, train, val, Hyperparams(alpha=-0.1, epochs=1), seed=0, arch=SMALL)
 
 
+@pytest.mark.parametrize("arch, hyper, message", [
+    ({"hidden_dim": 0}, {}, "hidden_dim, n_layers, and proj_dim"),
+    ({"proj_dim": 0}, {}, "hidden_dim, n_layers, and proj_dim"),
+    ({"pooling": "max"}, {}, "pooling"),
+    ({}, {"num_candidates": 0}, "num_candidates"),
+])
+def test_train_target_rejects_bad_arch_and_hyperparams(arch, hyper, message):
+    ds = make_dataset(seed=1)
+    train, val = split_ids(ds, 3)
+    with pytest.raises(ValueError, match=message):
+        train_target(ds, train, val, Hyperparams(epochs=1, **hyper), seed=0,
+                     arch=ArchConfig(**arch))
+
+
+def test_train_target_takes_num_candidates_from_hyperparams(monkeypatch):
+    import fade.predictors
+
+    seen = set()
+
+    def record(rep, ctx, classify_fn, label, sample_id="", epoch=0):
+        seen.add(ctx.num_candidates)
+        return rep
+
+    monkeypatch.setattr(fade.predictors, "augment", record)
+    ds = make_dataset(seed=1)
+    train, val = split_ids(ds, 3)
+    train_target(ds, train, val, Hyperparams(epochs=1, num_candidates=3), seed=0, arch=SMALL)
+    assert seen == {3}
+
+
 def test_train_target_nonfinite_features_raise_training_error():
     ds = make_dataset(seed=1)
     ds.instances[0].graph.x[0, 0] = np.nan  # deliberately skip re-validation
