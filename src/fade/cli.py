@@ -1,9 +1,10 @@
 """Command-line front end: generate, split, train, eval, predict, ablate.
 
 Every command takes ``--config`` (key=value file) plus repeatable ``--set``
-overrides, resolves a RunConfig up front, and fails fast with a typed exit
-code: 2 for configuration problems, 3 for data/file problems, 4 for numeric
-failures during training or inference.
+overrides; flags that spell a config key are parsed like ``--set``, and the
+RunConfig is checked before any input is read.  Errors exit with a typed code:
+2 for configuration problems, 3 for data/file problems, 4 for numeric failures
+during training or inference.
 
 JSON artifacts are deterministic for a fixed seed/config/input; the only
 varying field is ``generated_at``, which is kept separate from the payload
@@ -29,11 +30,13 @@ from .data import DatasetError, atomic_write, load_dataset, save_dataset
 from .inference import (
     DebiasConfig,
     evaluate,
+    event_only_logits,
     f1_bar_chart_svg,
     predict,
     report_to_json,
     report_to_text,
     sweep_beta,
+    target_logits,
 )
 from .predictors import (
     CheckpointError,
@@ -64,11 +67,15 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_text(path, text: str) -> None:
+def _out_path(path) -> Path:
+    """``path`` as a Path, with its parent directory created."""
     p = Path(path)
-    if p.parent != Path(""):
-        p.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_write(p) as fh:
+    p.parent.mkdir(parents=True, exist_ok=True)
+    return p
+
+
+def _write_text(path, text: str) -> None:
+    with atomic_write(_out_path(path)) as fh:
         fh.write(text)
 
 
@@ -82,7 +89,8 @@ def _write_json(path, payload: dict) -> None:
 SPLIT_KEYS = ("split_mode", "val_fraction", "train_parts", "test_parts")
 
 
-def _build_config(args, reads_manifest: bool = False) -> RunConfig:
+def _build_config(args, reads_manifest: bool = False, **flags) -> RunConfig:
+    """Config file, then ``--set``, then each ``flags`` key whose flag was given; checked once."""
     cfg = load_config(args.config) if args.config else RunConfig()
     cfg.apply_overrides(args.set)
     if reads_manifest:
@@ -90,6 +98,10 @@ def _build_config(args, reads_manifest: bool = False) -> RunConfig:
             key = pair.split("=", 1)[0].strip()
             if key in SPLIT_KEYS:
                 raise ConfigError(f"--set {key}: not used here, the split comes from the manifest")
+    for key, value in flags.items():
+        if value is not None:
+            cfg.set(key, value)
+    cfg.validate()
     return cfg
 
 
@@ -112,36 +124,41 @@ def _load_inputs(data_path, split_path, require_manifest=True):
 
 def _load_run(run_dir):
     """Load the two checkpoints a training run leaves behind."""
-    run = Path(run_dir)
-    target = load_checkpoint(run / "target.ckpt")
-    event_only = load_checkpoint(run / "event_only.ckpt")
-    if not isinstance(target, TargetPredictorParams):
-        raise CheckpointError(f"{run / 'target.ckpt'} does not hold target predictor weights")
-    if not isinstance(event_only, EventOnlyPredictorParams):
-        raise CheckpointError(
-            f"{run / 'event_only.ckpt'} does not hold event-only predictor weights"
-        )
-    return target, event_only
+    loaded = []
+    for name, cls in (("target", TargetPredictorParams), ("event_only", EventOnlyPredictorParams)):
+        path = Path(run_dir) / f"{name}.ckpt"
+        params = load_checkpoint(path)
+        if not isinstance(params, cls):
+            raise CheckpointError(f"{path} does not hold {name} predictor weights")
+        loaded.append(params)
+    return loaded
 
 
-def _resolve_beta(args, cfg: RunConfig, target, event_only, val_insts):
-    """Flag beats config beats validation sweep; report where it came from."""
-    if getattr(args, "beta", None) is not None:
-        beta, source = float(args.beta), "flag"
-    elif cfg.get("beta") is not None:
-        beta, source = float(cfg.get("beta")), "config"
+def _predict_run(args, cfg: RunConfig, require_manifest: bool = True):
+    """``(ds, instances, beta, beta_source, predictions)`` on the test split, else all of ds."""
+    ds, manifest = _load_inputs(args.data, args.split, require_manifest)
+    target, event_only = _load_run(args.run)
+    if manifest is not None:
+        by_id = ds.by_id()
+        insts = [by_id[i] for i in manifest.test_ids]
+        val_insts = [by_id[i] for i in manifest.val_ids]
     else:
-        if not val_insts:
-            raise ConfigError(
-                "beta is unset: pass --beta, set beta in the config, "
-                "or provide a manifest with a validation split to sweep over"
-            )
-        return sweep_beta(target, event_only, val_insts), "sweep"
-    try:
-        DebiasConfig(beta=beta).validate()
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    return beta, source
+        insts, val_insts = list(ds.instances), []
+    if not insts:
+        raise DatasetError("nothing to predict: the selected split is empty")
+
+    beta = cfg.get("beta")
+    if beta is not None:
+        source = "flag" if args.beta is not None else "config"
+    elif val_insts:
+        beta, source = sweep_beta(target, event_only, val_insts), "sweep"
+    else:
+        raise ConfigError(
+            "beta is unset: pass --beta, set beta in the config, "
+            "or provide a manifest with a validation split to sweep over"
+        )
+    predictions = predict(target, event_only, insts, DebiasConfig(beta=beta))
+    return ds, insts, beta, source, predictions
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +166,9 @@ def _resolve_beta(args, cfg: RunConfig, target, event_only, val_insts):
 
 
 def cmd_gen_synth(args) -> int:
-    cfg = _build_config(args)
-    if args.preset is not None:
-        cfg.set("preset", args.preset)
-    if args.bias is not None:
-        cfg.set("bias_strength", args.bias)
-    cfg.validate()
+    cfg = _build_config(args, preset=args.preset, bias_strength=args.bias)
     ds = generate(cfg.synth_config(args.seed))
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(args.out)
     save_dataset(ds, out)
     print(f"wrote {len(ds.instances)} instances across {len(ds.events())} events to {out}")
     if args.report:
@@ -167,18 +177,12 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
-    cfg = _build_config(args)
-    if args.mode is not None:
-        cfg.set("split_mode", args.mode)
-    cfg.validate()
+    cfg = _build_config(args, split_mode=args.mode)
     ds = load_dataset(args.data)
-    ratios = cfg.split_ratios()
     mode = cfg.get("split_mode")
     split_fn = event_mixed_split if mode == "mixed" else event_separated_split
-    manifest = split_fn(ds, ratios, args.seed)
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    manifest = split_fn(ds, cfg.split_ratios(), args.seed)
+    out = _out_path(args.out)
     save_manifest(manifest, out)
     print(
         f"{mode} split of {len(ds.instances)} instances: "
@@ -190,7 +194,6 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _build_config(args, reads_manifest=True)
-    cfg.validate()
     ds, manifest = _load_inputs(args.data, args.split)
     hyper = cfg.hyperparams()
     arch = cfg.arch()
@@ -226,19 +229,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _build_config(args, reads_manifest=True)
-    cfg.validate()
-    ds, manifest = _load_inputs(args.data, args.split)
-    target, event_only = _load_run(args.run)
-
-    by_id = ds.by_id()
-    val_insts = [by_id[i] for i in manifest.val_ids]
-    test_insts = [by_id[i] for i in manifest.test_ids]
-    beta, source = _resolve_beta(args, cfg, target, event_only, val_insts)
-
-    predictions = predict(target, event_only, test_insts, DebiasConfig(beta=beta))
-    labels = np.array([i.label for i in test_insts])
-    events = [i.event for i in test_insts]
+    cfg = _build_config(args, reads_manifest=True, beta=args.beta)
+    ds, insts, beta, source, predictions = _predict_run(args, cfg)
+    labels, events = [i.label for i in insts], [i.event for i in insts]
     report = evaluate(predictions, labels, ds.class_names, events=events)
 
     print(f"beta      {beta:g}  ({source})")
@@ -253,23 +246,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _build_config(args, reads_manifest=True)
-    cfg.validate()
-    ds, manifest = _load_inputs(args.data, args.split, require_manifest=False)
-    target, event_only = _load_run(args.run)
-
-    if manifest is not None:
-        by_id = ds.by_id()
-        insts = [by_id[i] for i in manifest.test_ids]
-        val_insts = [by_id[i] for i in manifest.val_ids]
-    else:
-        insts = list(ds.instances)
-        val_insts = []
-    if not insts:
-        raise DatasetError("nothing to predict: the selected split is empty")
-
-    beta, source = _resolve_beta(args, cfg, target, event_only, val_insts)
-    predictions = predict(target, event_only, insts, DebiasConfig(beta=beta))
+    cfg = _build_config(args, reads_manifest=True, beta=args.beta)
+    ds, insts, beta, source, predictions = _predict_run(args, cfg, require_manifest=False)
     rows = [
         {"id": inst.id, "event": inst.event, "prediction": ds.class_names[int(p)]}
         for inst, p in zip(insts, predictions)
@@ -309,23 +287,24 @@ def _ablate_one_seed(cfg: RunConfig, seed: int) -> dict:
         ds, mixed.train_ids, mixed.val_ids, hyper0, seed=seed, arch=arch
     )
 
-    def acc(params, insts, beta):
-        preds = predict(params, event_only, insts, DebiasConfig(beta=beta))
+    def acc(logits, insts):
         labels = np.array([i.label for i in insts])
-        return float(np.mean(preds == labels))
+        return float(np.mean(np.argmax(logits, axis=1) == labels))
 
     by_id = ds.by_id()
     sep_val = [by_id[i] for i in sep.val_ids]
     sep_test = [by_id[i] for i in sep.test_ids]
     mixed_test = [by_id[i] for i in mixed.test_ids]
     beta = sweep_beta(target, event_only, sep_val)
+    # Each model's test logits once; the beta=0 variants need no event-only logits.
+    o_t = target_logits(target, sep_test)
     return {
         "seed": seed,
         "beta": beta,
-        "full": acc(target, sep_test, beta),
-        "beta0": acc(target, sep_test, 0.0),
-        "alpha0_beta0": acc(plain, sep_test, 0.0),
-        "event_mixed": acc(plain_mixed, mixed_test, 0.0),
+        "full": acc(o_t - beta * event_only_logits(event_only, sep_test), sep_test),
+        "beta0": acc(o_t, sep_test),
+        "alpha0_beta0": acc(target_logits(plain, sep_test), sep_test),
+        "event_mixed": acc(target_logits(plain_mixed, mixed_test), mixed_test),
     }
 
 
@@ -341,11 +320,7 @@ def cmd_ablate(args) -> int:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    cfg = _build_config(args)
-    if args.seeds is not None:
-        cfg.set("ablate_seeds", args.seeds)
-    cfg.validate()
-
+    cfg = _build_config(args, ablate_seeds=args.seeds)
     n_seeds = cfg.get("ablate_seeds")
     seeds = list(range(n_seeds))
     out = Path(args.out)
@@ -410,6 +385,13 @@ def cmd_ablate(args) -> int:
 # argument parsing
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
@@ -420,56 +402,55 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override one config key (repeatable)",
     )
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="fade",
         description="Event-debiased propagation-graph classification pipeline.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-synth", parents=[common], help="generate a synthetic dataset")
+    def command(name, parent, func, summary):
+        p = sub.add_parser(name, parents=[parent], help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen-synth", seeded, cmd_gen_synth, "generate a synthetic dataset")
     p.add_argument("--preset", help="named generator preset (e.g. t15-like)")
-    p.add_argument("--bias", type=float, help="override bias_strength")
+    p.add_argument("--bias", help="bias_strength: probability an event is biased")
     p.add_argument("--out", required=True, help="output dataset path (.jsonl)")
     p.add_argument("--report", action="store_true", help="print a bias summary as JSON")
-    p.set_defaults(func=cmd_gen_synth)
 
-    p = sub.add_parser("split", parents=[common], help="write a train/val/test manifest")
+    p = command("split", seeded, cmd_split, "write a train/val/test manifest")
     p.add_argument("--data", required=True, help="dataset path")
-    p.add_argument("--mode", choices=("separated", "mixed"), help="split mode")
+    p.add_argument("--mode", help="split_mode: separated or mixed")
     p.add_argument("--out", required=True, help="output manifest path (.json)")
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", parents=[common], help="train both predictors")
+    p = command("train", seeded, cmd_train, "train both predictors")
     p.add_argument("--data", required=True, help="dataset path")
     p.add_argument("--split", required=True, help="manifest path")
     p.add_argument("--out", required=True, help="run directory for checkpoints + log")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a run on the test split")
+    p = command("eval", common, cmd_eval, "evaluate a run on the test split")
     p.add_argument("--data", required=True, help="dataset path")
     p.add_argument("--split", required=True, help="manifest path")
     p.add_argument("--run", required=True, help="run directory holding the checkpoints")
-    p.add_argument("--beta", type=float, help="debiasing strength (default: config, else val sweep)")
+    p.add_argument("--beta", help="debiasing strength (default: config, else val sweep)")
     p.add_argument("--out", help="write the report as JSON here")
     p.add_argument("--plot", help="write a per-class F1 bar chart (SVG) here")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", parents=[common], help="emit per-instance predictions")
+    p = command("predict", common, cmd_predict, "emit per-instance predictions")
     p.add_argument("--data", required=True, help="dataset path")
     p.add_argument("--split", help="manifest path (predict the test split only)")
     p.add_argument("--run", required=True, help="run directory holding the checkpoints")
-    p.add_argument("--beta", type=float, help="debiasing strength (default: config, else val sweep)")
+    p.add_argument("--beta", help="debiasing strength (default: config, else val sweep)")
     p.add_argument("--out", help="write predictions as JSON here (default: stdout)")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser(
-        "ablate", parents=[common], help="compare full / beta0 / alpha0_beta0 / event_mixed"
-    )
+    p = command("ablate", common, cmd_ablate, "compare full / beta0 / alpha0_beta0 / event_mixed")
     p.add_argument("--out", required=True, help="output directory for ablation.json")
-    p.add_argument("--seeds", type=int, help="number of seeds (default: config ablate_seeds)")
-    p.set_defaults(func=cmd_ablate)
+    p.add_argument("--seeds", help="ablate_seeds: number of seeds (default 10)")
 
     return parser
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -428,3 +429,77 @@ def test_manifest_listing_an_id_twice_exits_3_naming_the_file(workspace, tmp_pat
     assert capsys.readouterr().err == (
         f"error: manifest {manifest}: manifest assigns some instance twice\n"
     )
+
+
+@pytest.mark.parametrize("command, required", [
+    ("gen-synth", []),
+    ("split", ["--data", "d.jsonl"]),
+    ("train", ["--data", "d.jsonl", "--split", "m.json"]),
+])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command, required):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, required", [
+    ("eval", ["--data", "d.jsonl", "--split", "m.json", "--run", "run"]),
+    ("predict", ["--data", "d.jsonl", "--run", "run"]),
+    ("ablate", TINY_ABLATE),
+])
+def test_seed_is_rejected_where_no_seed_is_read(tmp_path, capsys, command, required):
+    # Abbreviations are off: otherwise `ablate --seed 3` would run `--seeds 3`.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, "--seed", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_bad_beta_exits_2_before_any_input_is_read(tmp_path, capsys, command):
+    argv = [command, "--data", str(tmp_path / "missing.jsonl"), "--run", str(tmp_path / "run"),
+            "--split", str(tmp_path / "missing.json"), "--beta", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: beta must be finite and >= 0, got -1.0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-synth", "--bias", "abc"], "bias_strength: expected a number, got 'abc'"),
+    (["gen-synth", "--preset", "nope"], "unknown preset 'nope'; available: ['t15-like']"),
+    (["split", "--data", "d.jsonl", "--mode", "random"],
+     "split_mode must be 'separated' or 'mixed', got 'random'"),
+    (["eval", "--data", "d.jsonl", "--split", "m.json", "--run", "run", "--beta", "nan"],
+     "beta: expected a finite number, got 'nan'"),
+    (["ablate", "--seeds", "2.5"], "ablate_seeds: expected an integer, got '2.5'"),
+    (["ablate", "--seeds", "0"], "ablate_seeds must be >= 1, got 0"),
+])
+def test_config_key_flags_are_checked_like_set(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_each_command_offers_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    common = ["-h", "--help", "--config", "--set"]
+    expected = {
+        "gen-synth": ["--seed", "--preset", "--bias", "--out", "--report"],
+        "split": ["--seed", "--data", "--mode", "--out"],
+        "train": ["--seed", "--data", "--split", "--out"],
+        "eval": ["--data", "--split", "--run", "--beta", "--out", "--plot"],
+        "predict": ["--data", "--split", "--run", "--beta", "--out"],
+        "ablate": ["--out", "--seeds"],
+    }
+    offered = {
+        name: sorted(opt for action in p._actions for opt in action.option_strings)
+        for name, p in sub.choices.items()
+    }
+    assert offered == {name: sorted(common + flags) for name, flags in expected.items()}
+    assert not any(p.allow_abbrev for p in [parser, *sub.choices.values()])
