@@ -197,6 +197,10 @@ def cmd_train(args) -> int:
     ds, manifest = _load_inputs(args.data, args.split)
     hyper = cfg.hyperparams()
     arch = cfg.arch()
+    # --out is checked now but made after training, so a failed run leaves no run directory.
+    run = _out_path(args.out)
+    if run.exists() and not run.is_dir():
+        raise NotADirectoryError(f"--out {run}: exists and is not a directory")
 
     t0 = time.perf_counter()
     target, target_log = train_target(
@@ -207,8 +211,7 @@ def cmd_train(args) -> int:
     )
     elapsed = time.perf_counter() - t0
 
-    run = Path(args.out)
-    run.mkdir(parents=True, exist_ok=True)
+    run.mkdir(exist_ok=True)
     save_checkpoint(target, run / "target.ckpt")
     save_checkpoint(event_only, run / "event_only.ckpt")
     _write_json(
@@ -308,12 +311,6 @@ def _ablate_one_seed(cfg: RunConfig, seed: int) -> dict:
     }
 
 
-# Environment of the ablate workers: one BLAS thread each, so the seeds share
-# the cores without oversubscribing them and every seed computes the same
-# bytes whatever the core count.  It must be set before a worker imports numpy.
-_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-
-
 def cmd_ablate(args) -> int:
     # Imported here, not at module level, so that `import fade.cli`, which
     # every command pays for, does not load them.
@@ -327,31 +324,23 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     # Seeds run on spawned worker processes, one seed per task; `map` returns
-    # them in seed order.  Spawn, not fork: a forked worker would inherit the
-    # parent's already-started BLAS threads.  There is always a pool, even for
-    # one seed, so there is one code path whatever the core count.
+    # them in seed order.  Spawn, not fork: a fresh worker imports `fade`, so
+    # it computes on one BLAS thread like this process, and the seeds share the
+    # cores without oversubscribing them.  There is always a pool, even for one
+    # seed, so there is one code path whatever the core count.
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     workers = min(n_seeds, cpus)
-    saved_env = {key: os.environ.get(key) for key in _WORKER_ENV}
     t0 = time.perf_counter()
-    os.environ.update(_WORKER_ENV)
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            try:
-                results = list(pool.map(_ablate_one_seed, [cfg] * n_seeds, seeds))
-            except BaseException:
-                # Fail as the first failing seed does; do not start the rest.
-                pool.shutdown(cancel_futures=True)
-                raise
-    finally:
-        for key, value in saved_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        try:
+            results = list(pool.map(_ablate_one_seed, [cfg] * n_seeds, seeds))
+        except BaseException:
+            # Fail as the first failing seed does; do not start the rest.
+            pool.shutdown(cancel_futures=True)
+            raise
     elapsed = time.perf_counter() - t0
 
     variants = {}

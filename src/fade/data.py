@@ -16,6 +16,7 @@ import secrets
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -219,10 +220,31 @@ def degree_buckets(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> l
     return buckets
 
 
-def _require(record: dict, key: str, path, line_no: int):
+# What the JSON value of each field must be.  Types are compared exactly: JSON
+# true/false load as bool, a subclass of int, and must not pass as numbers.  The
+# set(map(type, ...)) forms keep the per-value loop in C.
+def _names(v) -> bool:
+    return type(v) is list and set(map(type, v)) == {str} and len(set(v)) == len(v)
+
+
+def _int_pairs(v) -> bool:
+    return (type(v) is list and set(map(type, v)) <= {list} and set(map(len, v)) <= {2}
+            and set(map(type, chain.from_iterable(v))) <= {int})
+
+
+def _real_rows(v) -> bool:
+    return (type(v) is list and set(map(type, v)) <= {list}
+            and set(map(type, chain.from_iterable(v))) <= {int, float})
+
+
+def _require(record: dict, key: str, path, line_no: int, valid, what: str):
+    """``record[key]``; ``valid`` is the exact type it must have, or a check of it."""
     if key not in record:
         raise DatasetParseError(path, line_no, f"missing field {key!r}")
-    return record[key]
+    value = record[key]
+    if not (type(value) is valid if isinstance(valid, type) else valid(value)):
+        raise DatasetParseError(path, line_no, f"{key} must be {what}")
+    return value
 
 
 def load_dataset(path) -> Dataset:
@@ -242,14 +264,12 @@ def load_dataset(path) -> Dataset:
         raise DatasetParseError(path, 1, f"bad header JSON: {e}") from None
     if not isinstance(header, dict):
         raise DatasetParseError(path, 1, "header must be a JSON object")
-    classes = _require(header, "classes", path, 1)
-    feature_dim = _require(header, "feature_dim", path, 1)
-    if not isinstance(classes, list) or not classes:
-        raise DatasetParseError(path, 1, "classes must be a non-empty list")
-    if not isinstance(feature_dim, int) or feature_dim < 1:
+    classes = _require(header, "classes", path, 1, _names, "a non-empty list of distinct strings")
+    feature_dim = _require(header, "feature_dim", path, 1, int, "a positive integer")
+    if feature_dim < 1:
         raise DatasetParseError(path, 1, "feature_dim must be a positive integer")
 
-    ds = Dataset(class_names=[str(c) for c in classes], feature_dim=feature_dim)
+    ds = Dataset(class_names=classes, feature_dim=feature_dim)
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -259,33 +279,24 @@ def load_dataset(path) -> Dataset:
             raise DatasetParseError(path, line_no, f"bad JSON: {e}") from None
         if not isinstance(rec, dict):
             raise DatasetParseError(path, line_no, "instance line must be a JSON object")
-        inst_id = str(_require(rec, "id", path, line_no))
-        n = _require(rec, "n", path, line_no)
-        if not isinstance(n, int):
-            raise DatasetParseError(path, line_no, "n must be an integer")
-        edges_raw = _require(rec, "edges", path, line_no)
-        x_raw = _require(rec, "x", path, line_no)
-        try:
-            edges = [[int(p), int(c)] for p, c in edges_raw]
-        except (TypeError, ValueError):
-            raise DatasetParseError(path, line_no, "edges must be [parent, child] pairs") from None
+        inst_id = _require(rec, "id", path, line_no, str, "a string")
+        n = _require(rec, "n", path, line_no, int, "an integer")
+        edges = _require(rec, "edges", path, line_no, _int_pairs, "[parent, child] integer pairs")
+        x_raw = _require(rec, "x", path, line_no, _real_rows, "a rectangular array of reals")
         try:
             x = np.asarray(x_raw, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged rows, or an object such as {"a": 1}
+        except (ValueError, OverflowError):  # ragged rows, or an integer beyond float range
             raise DatasetParseError(
                 path, line_no, "x must be a rectangular array of reals"
             ) from None
         if x.ndim != 2:
             raise DatasetParseError(path, line_no, "x must be a 2-D array")
-        label = _require(rec, "label", path, line_no)
-        if not isinstance(label, int):
-            raise DatasetParseError(path, line_no, "label must be an integer")
         ds.instances.append(
             NewsInstance(
                 id=inst_id,
                 graph=PropagationGraph(n=n, x=x, edges=edges),
-                label=label,
-                event=str(_require(rec, "event", path, line_no)),
+                label=_require(rec, "label", path, line_no, int, "an integer"),
+                event=_require(rec, "event", path, line_no, str, "a string"),
             )
         )
     try:

@@ -186,6 +186,9 @@ def report_to_text(report: EvalReport) -> str:
 
 def f1_bar_chart_svg(report: EvalReport) -> str:
     """Self-contained SVG bar chart of per-class F1 (deterministic bytes)."""
+    # Imported here, not at module level: it loads urllib and email, which only --plot needs.
+    from xml.sax.saxutils import escape
+
     bar_w, gap, left, top, plot_h = 60, 30, 50, 20, 200
     n = len(report.per_class_f1)
     width = left + n * (bar_w + gap) + gap
@@ -212,7 +215,7 @@ def f1_bar_chart_svg(report: EvalReport) -> str:
         parts.append(f'<rect x="{x}" y="{y}" width="{bar_w}" height="{h}" fill="#4477aa"/>')
         parts.append(
             f'<text x="{x + bar_w // 2}" y="{top + plot_h + 16}" font-size="12" '
-            f'text-anchor="middle">{name}</text>'
+            f'text-anchor="middle">{escape(name)}</text>'
         )
         parts.append(
             f'<text x="{x + bar_w // 2}" y="{y - 4}" font-size="11" '

@@ -278,6 +278,47 @@ def test_ablate_bad_out_exits_3_before_any_seed_runs(tmp_path, capsys, monkeypat
     assert str(taken) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_train_bad_out_exits_3_before_training(workspace, tmp_path, capsys, monkeypatch, out):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train_target", no_training)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = ["train", "--data", workspace["data"], "--split", workspace["manifest"],
+            "--out", str(tmp_path / out), *FAST]
+    assert main(argv) == 3
+    assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    # The full 25 epochs on t15-like: with fewer, two BLAS threads happened to
+    # round the same as one.  Each child's environment is built here, because
+    # importing fade has already pinned this process's own.
+    data, manifest = tmp_path / "d.jsonl", tmp_path / "m.json"
+    assert main(["gen-synth", "--preset", "t15-like", "--bias", "0.8", "--out", str(data)]) == 0
+    assert main(["split", "--data", str(data), "--out", str(manifest)]) == 0
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in (None, "1", "2"):
+        run = tmp_path / f"run-{threads}"
+        pinned = {} if threads is None else dict.fromkeys(BLAS_THREAD_VARS, threads)
+        subprocess.run([sys.executable, "-m", "fade.cli", "train", "--data", str(data),
+                        "--split", str(manifest), "--out", str(run)],
+                       env=dict(env, **pinned), capture_output=True, check=True, timeout=300)
+        log = json.loads((run / "log.json").read_text())
+        del log["generated_at"]
+        outputs.append(((run / "target.ckpt").read_bytes(),
+                        (run / "event_only.ckpt").read_bytes(), log))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_importing_cli_loads_no_process_pool_modules():
     # `import fade.cli` is paid by every command; the pool's modules load only
     # when `fade ablate` runs.

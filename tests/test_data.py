@@ -164,12 +164,42 @@ class TestIO:
         with pytest.raises(DatasetParseError, match="line 2"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("x", ['{"a": 1}', '[[1, 2], [3]]', '"abc"'])
+    @pytest.mark.parametrize("x", ['{"a": 1}', '[[1, 2], [3]]', '"abc"', '[["0.5", 0.5]]',
+                                   '[[true, 0.5]]',
+                                   pytest.param("[[1" + "0" * 400 + ", 0.5]]", id="1e400-int")])
     def test_non_numeric_x_is_a_parse_error_naming_file_and_line(self, tmp_path, x):
         path = tmp_path / "bad.jsonl"
         rec = '{"id": "q", "event": "e", "label": 0, "n": 1, "edges": [], "x": ' + x + "}"
         path.write_text('{"classes": ["N", "F"], "feature_dim": 2}\n' + rec + "\n")
         with pytest.raises(DatasetParseError, match="bad.jsonl: line 2: x must be a rectangular"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("edges", [[0, 1.9]]),
+        ("edges", [[0, "1"]]),
+        ("edges", [[False, True]]),
+        ("edges", ["01"]),
+        ("label", True),
+        ("label", 1.0),
+        ("n", True),
+        ("event", ["a"]),
+        ("id", 7),
+        ("feature_dim", True),
+        ("classes", ["a", "a"]),
+        ("classes", ["a", 1]),
+    ], ids=str)
+    def test_wrongly_typed_field_is_a_parse_error_naming_file_line_and_field(
+        self, tmp_path, field, value
+    ):
+        # A well-formed header and two-node instance, with one field replaced.
+        header = {"classes": ["N", "F"], "feature_dim": 2}
+        rec = {"id": "q", "event": "e", "label": 0, "n": 2, "edges": [[0, 1]],
+               "x": [[0.5, 0.5], [0.5, 0.5]]}
+        line = 1 if field in header else 2
+        (header if line == 1 else rec)[field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(DatasetParseError, match=f"bad.jsonl: line {line}: {field} must be"):
             load_dataset(path)
 
     def test_missing_header_field(self, tmp_path):
