@@ -122,14 +122,20 @@ def _load_inputs(data_path, split_path, require_manifest=True):
     return ds, manifest
 
 
-def _load_run(run_dir):
-    """Load the two checkpoints a training run leaves behind."""
+def _load_run(run_dir, ds, data_path):
+    """Load the two checkpoints a training run leaves behind, made for ``ds``'s shape."""
     loaded = []
     for name, cls in (("target", TargetPredictorParams), ("event_only", EventOnlyPredictorParams)):
         path = Path(run_dir) / f"{name}.ckpt"
         params = load_checkpoint(path)
         if not isinstance(params, cls):
             raise CheckpointError(f"{path} does not hold {name} predictor weights")
+        shape = (params.encoder.feature_dim, params.classifier.w.shape[1])
+        if shape != (ds.feature_dim, ds.n_classes):
+            raise DatasetError(
+                f"{path} takes {shape[0]} features and {shape[1]} classes, but "
+                f"{data_path} has {ds.feature_dim} features and {ds.n_classes} classes"
+            )
         loaded.append(params)
     return loaded
 
@@ -137,7 +143,7 @@ def _load_run(run_dir):
 def _predict_run(args, cfg: RunConfig, require_manifest: bool = True):
     """``(ds, instances, beta, beta_source, predictions)`` on the test split, else all of ds."""
     ds, manifest = _load_inputs(args.data, args.split, require_manifest)
-    target, event_only = _load_run(args.run)
+    target, event_only = _load_run(args.run, ds, args.data)
     if manifest is not None:
         by_id = ds.by_id()
         insts = [by_id[i] for i in manifest.test_ids]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import secrets
 from collections import deque
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ __all__ = [
     "PropagationGraph",
     "NewsInstance",
     "Dataset",
+    "event_groups",
     "normalized_adjacency",
     "adjacency_entries",
     "degree_buckets",
@@ -154,16 +156,18 @@ class Dataset:
 
     def events(self) -> list[str]:
         """Distinct event labels in first-appearance order."""
-        out: list[str] = []
-        seen: set[str] = set()
-        for inst in self.instances:
-            if inst.event not in seen:
-                seen.add(inst.event)
-                out.append(inst.event)
-        return out
+        return list(event_groups(inst.event for inst in self.instances))
 
     def by_id(self) -> dict[str, NewsInstance]:
         return {inst.id: inst for inst in self.instances}
+
+
+def event_groups(events) -> dict[str, list[int]]:
+    """Each distinct label's positions in ``events``, labels in first-appearance order."""
+    groups: dict[str, list[int]] = {}
+    for i, event in enumerate(events):
+        groups.setdefault(event, []).append(i)
+    return groups
 
 
 def normalized_adjacency(g: PropagationGraph) -> np.ndarray:
@@ -223,8 +227,20 @@ def degree_buckets(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> l
 # What the JSON value of each field must be.  Types are compared exactly: JSON
 # true/false load as bool, a subclass of int, and must not pass as numbers.  The
 # set(map(type, ...)) forms keep the per-value loop in C.
+#
+# Names (classes, ids, events) hold no C0/C1 control character, tab and newline
+# included, since `predict` prints them tab-separated; no lone surrogate, which
+# cannot be encoded; and neither U+FFFE nor U+FFFF.  XML forbids all of them.
+_UNPRINTABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\ud800-\udfff\ufffe\uffff]")
+
+
+def _text(v) -> bool:
+    return type(v) is str and not _UNPRINTABLE.search(v)
+
+
 def _names(v) -> bool:
-    return type(v) is list and set(map(type, v)) == {str} and len(set(v)) == len(v)
+    return (type(v) is list and set(map(type, v)) == {str} and len(set(v)) == len(v)
+            and not _UNPRINTABLE.search("".join(v)))
 
 
 def _int_pairs(v) -> bool:
@@ -264,7 +280,8 @@ def load_dataset(path) -> Dataset:
         raise DatasetParseError(path, 1, f"bad header JSON: {e}") from None
     if not isinstance(header, dict):
         raise DatasetParseError(path, 1, "header must be a JSON object")
-    classes = _require(header, "classes", path, 1, _names, "a non-empty list of distinct strings")
+    classes = _require(header, "classes", path, 1, _names,
+                       "a non-empty list of distinct printable strings")
     feature_dim = _require(header, "feature_dim", path, 1, int, "a positive integer")
     if feature_dim < 1:
         raise DatasetParseError(path, 1, "feature_dim must be a positive integer")
@@ -279,7 +296,7 @@ def load_dataset(path) -> Dataset:
             raise DatasetParseError(path, line_no, f"bad JSON: {e}") from None
         if not isinstance(rec, dict):
             raise DatasetParseError(path, line_no, "instance line must be a JSON object")
-        inst_id = _require(rec, "id", path, line_no, str, "a string")
+        inst_id = _require(rec, "id", path, line_no, _text, "a printable string")
         n = _require(rec, "n", path, line_no, int, "an integer")
         edges = _require(rec, "edges", path, line_no, _int_pairs, "[parent, child] integer pairs")
         x_raw = _require(rec, "x", path, line_no, _real_rows, "a rectangular array of reals")
@@ -296,7 +313,7 @@ def load_dataset(path) -> Dataset:
                 id=inst_id,
                 graph=PropagationGraph(n=n, x=x, edges=edges),
                 label=_require(rec, "label", path, line_no, int, "an integer"),
-                event=_require(rec, "event", path, line_no, str, "a string"),
+                event=_require(rec, "event", path, line_no, _text, "a printable string"),
             )
         )
     try:

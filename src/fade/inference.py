@@ -104,6 +104,10 @@ def evaluate(predictions, labels, class_names: list[str], events=None) -> EvalRe
     if n == 0:
         raise ValueError("evaluate: empty test set")
     n_classes = len(class_names)
+    for name, values in (("label", labels), ("prediction", predictions)):
+        outside = values[(values < 0) | (values >= n_classes)]
+        if outside.size:
+            raise ValueError(f"evaluate: {name} {outside[0]} outside [0, {n_classes})")
     confusion = np.zeros((n_classes, n_classes), dtype=int)
     for t, p in zip(labels, predictions):
         confusion[t, p] += 1

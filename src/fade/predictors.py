@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, TrainingError
 from .augmentation import AugmentationContext, augment, compute_radius
-from .data import Dataset, NewsInstance, atomic_write
+from .data import Dataset, NewsInstance, atomic_write, event_groups
 from .encoder import POOLINGS, EncoderParams, encode_all, encode_batch_node, init_encoder
 
 __all__ = [
@@ -176,10 +176,7 @@ def event_mean_pool(reps: np.ndarray, events) -> np.ndarray:
     if reps.shape[0] != len(events):
         raise ad.ShapeError(f"event_mean_pool: {reps.shape[0]} rows but {len(events)} events")
     out = np.empty_like(reps)
-    groups: dict[str, list[int]] = {}
-    for i, e in enumerate(events):
-        groups.setdefault(e, []).append(i)
-    for idx in groups.values():
+    for idx in event_groups(events).values():
         out[idx] = reps[idx].mean(axis=0)
     return out
 
@@ -216,16 +213,15 @@ def event_only_logits(
 
 
 def _event_batches(insts: list[NewsInstance], batch_size: int, rng) -> list[list[int]]:
-    """Whole events packed greedily into batches, event order shuffled."""
-    groups: dict[str, list[int]] = {}
-    for i, inst in enumerate(insts):
-        groups.setdefault(inst.event, []).append(i)
-    names = list(groups)
-    order = rng.permutation(len(names))
+    """Whole events packed greedily into batches, event order shuffled.
+
+    Each event's rows are contiguous within its batch.
+    """
+    groups = list(event_groups(inst.event for inst in insts).values())
     batches: list[list[int]] = []
     current: list[int] = []
-    for j in order:
-        members = groups[names[j]]
+    for j in rng.permutation(len(groups)):
+        members = groups[j]
         if current and len(current) + len(members) > batch_size:
             batches.append(current)
             current = []
@@ -396,14 +392,12 @@ def train_event_only(
         insts = [train[i] for i in idx]
         enc_nodes = [nodes[f"encoder.layer.{i}"] for i in range(arch.n_layers)]
         reps = encode_batch_node(enc_nodes, [i.graph for i in insts], arch.pooling)
-        # expand maps each instance to its event's column; group averages
-        # each event's rows.
-        events = [i.event for i in insts]
-        names = list(dict.fromkeys(events))
-        expand = np.eye(len(names))[[names.index(e) for e in events]]
-        group = expand.T / expand.sum(axis=0)[:, None]
-        means = ad.matmul(ad.const(group), reps)
+        # A batch's events are contiguous segments; expand maps each instance
+        # back to its event's row.
+        sizes = [len(members) for members in event_groups(i.event for i in insts).values()]
+        means = ad.segment_pool(reps, sizes, mean=True)
         event_logits = _affine_node(means, nodes["classifier.weight"], nodes["classifier.bias"])
+        expand = np.repeat(np.eye(len(sizes)), sizes, axis=0)
         loss = ce_loss(ad.matmul(ad.const(expand), event_logits), [i.label for i in insts])
         return loss, float(loss.value[0, 0]), 0.0
 

@@ -15,11 +15,12 @@ leaks events into training.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, atomic_write
+from .data import Dataset, atomic_write, event_groups
 
 __all__ = [
     "SplitError",
@@ -84,17 +85,23 @@ class SplitManifest:
                     raise SplitError(f"events on two sides of a boundary: {sorted(overlap)}")
 
 
-def _group_by_event(ds: Dataset) -> dict[str, list[str]]:
-    groups: dict[str, list[str]] = {}
-    for inst in ds.instances:
-        groups.setdefault(inst.event, []).append(inst.id)
-    return groups
+def _manifest(ds: Dataset | None, train_ids, val_ids, test_ids, seed: int) -> SplitManifest:
+    """A manifest of these ids, with each side's event set when ``ds`` is given.
+
+    An id that ``ds`` does not hold raises KeyError.
+    """
+    sides = (train_ids, val_ids, test_ids)
+    events = [set(), set(), set()]
+    if ds is not None:
+        events_of = {inst.id: inst.event for inst in ds.instances}
+        events = [{events_of[i] for i in ids} for ids in sides]
+    return SplitManifest(*sides, *events, seed=seed)
 
 
 def event_separated_split(ds: Dataset, ratios: SplitRatios, seed: int) -> SplitManifest:
     """Whole-event partition into train/val/test, deterministic per seed."""
     ratios.validate()
-    groups = _group_by_event(ds)
+    groups = event_groups(inst.event for inst in ds.instances)
     names = sorted(groups)
     if len(names) < 3:
         raise SplitError(f"need at least 3 distinct events, got {len(names)}")
@@ -127,49 +134,27 @@ def event_separated_split(ds: Dataset, ratios: SplitRatios, seed: int) -> SplitM
         train_events.append(test_events.pop())
 
     def ids_of(events: list[str]) -> list[str]:
-        return [i for ev in events for i in groups[ev]]
+        return [ds.instances[k].id for ev in events for k in groups[ev]]
 
-    return SplitManifest(
-        train_ids=ids_of(train_events),
-        val_ids=ids_of(val_events),
-        test_ids=ids_of(test_events),
-        train_events=set(train_events),
-        val_events=set(val_events),
-        test_events=set(test_events),
-        seed=seed,
-    )
+    return _manifest(ds, ids_of(train_events), ids_of(val_events), ids_of(test_events), seed)
 
 
 def event_mixed_split(ds: Dataset, ratios: SplitRatios, seed: int) -> SplitManifest:
     """Instance-level partition with the same ratio targets, events ignored."""
     ratios.validate()
-    if len(_group_by_event(ds)) < 3:
+    if len(ds.events()) < 3:
         raise SplitError("need at least 3 distinct events")
     ids = [i.id for i in ds.instances]
     total = len(ids)
     rng = np.random.default_rng(seed)
     shuffled = [ids[k] for k in rng.permutation(total)]
 
-    val_n = 0
-    while val_n < ratios.val_fraction * total and val_n < total - 2:
-        val_n += 1
+    val_n = min(math.ceil(ratios.val_fraction * total), total - 2)
     remaining = total - val_n
     train_n = int(round(ratios.train_share * remaining))
     train_n = min(max(train_n, 1), remaining - 1)
-
-    val_ids = shuffled[:val_n]
-    train_ids = shuffled[val_n : val_n + train_n]
-    test_ids = shuffled[val_n + train_n :]
-    events_of = {i.id: i.event for i in ds.instances}
-    return SplitManifest(
-        train_ids=train_ids,
-        val_ids=val_ids,
-        test_ids=test_ids,
-        train_events={events_of[i] for i in train_ids},
-        val_events={events_of[i] for i in val_ids},
-        test_events={events_of[i] for i in test_ids},
-        seed=seed,
-    )
+    return _manifest(ds, shuffled[val_n : val_n + train_n], shuffled[:val_n],
+                     shuffled[val_n + train_n :], seed)
 
 
 def save_manifest(manifest: SplitManifest, path) -> None:
@@ -206,16 +191,7 @@ def load_manifest(path, ds: Dataset | None = None) -> SplitManifest:
             raise SplitError(f"manifest {path}: field {key!r} must be a list of string ids")
     if not isinstance(payload["seed"], int) or isinstance(payload["seed"], bool):
         raise SplitError(f"manifest {path}: field 'seed' must be an integer")
-    manifest = SplitManifest(
-        train_ids=payload["train"], val_ids=payload["val"], test_ids=payload["test"],
-        seed=payload["seed"],
-    )
-    if ds is not None:
-        events_of = {i.id: i.event for i in ds.instances}
-        try:
-            manifest.train_events = {events_of[i] for i in manifest.train_ids}
-            manifest.val_events = {events_of[i] for i in manifest.val_ids}
-            manifest.test_events = {events_of[i] for i in manifest.test_ids}
-        except KeyError as e:
-            raise SplitError(f"manifest {path}: unknown instance id {e}") from None
-    return manifest
+    try:
+        return _manifest(ds, payload["train"], payload["val"], payload["test"], payload["seed"])
+    except KeyError as e:
+        raise SplitError(f"manifest {path}: unknown instance id {e}") from None

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, NewsInstance, PropagationGraph
+from .data import Dataset, NewsInstance, PropagationGraph, event_groups
 
 __all__ = ["SynthConfig", "PRESETS", "preset", "generate", "bias_report"]
 
@@ -181,16 +181,15 @@ def generate(cfg: SynthConfig) -> Dataset:
 
 def bias_report(ds: Dataset) -> dict:
     """Per-event label purity plus size and single-label-event summaries."""
-    groups: dict[str, list[int]] = {}
-    for inst in ds.instances:
-        groups.setdefault(inst.event, []).append(inst.label)
+    labels = np.array([inst.label for inst in ds.instances])
+    groups = event_groups(inst.event for inst in ds.instances)
     purity = {}
     single_label_instances = 0
-    for event, labels in groups.items():
-        counts = np.bincount(labels, minlength=ds.n_classes)
-        purity[event] = float(counts.max()) / len(labels)
-        if counts.max() == len(labels):
-            single_label_instances += len(labels)
+    for event, idx in groups.items():
+        counts = np.bincount(labels[idx], minlength=ds.n_classes)
+        purity[event] = float(counts.max()) / len(idx)
+        if counts.max() == len(idx):
+            single_label_instances += len(idx)
     sizes = np.array([len(v) for v in groups.values()])
     return {
         "n_events": len(groups),

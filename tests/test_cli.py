@@ -358,6 +358,38 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def misfits(tmp_path_factory):
+    """A run trained on t15-like data (32 features, 4 classes) and datasets it does not fit."""
+    root = tmp_path_factory.mktemp("misfit")
+    t15 = ["--preset", "t15-like", *FAST]
+    for name, key in (("fit", "feature_dim=32"), ("16-features", "feature_dim=16"),
+                      ("2-classes", "n_classes=2"), ("6-classes", "n_classes=6")):
+        data = str(root / f"{name}.jsonl")
+        assert main(["gen-synth", *t15, "--set", key, "--out", data]) == 0
+        assert main(["split", "--data", data, "--out", str(root / f"{name}.json")]) == 0
+    assert main(["train", "--data", str(root / "fit.jsonl"), "--split", str(root / "fit.json"),
+                 "--out", str(root / "run"), *FAST]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("name, features, classes", [
+    ("16-features", 16, 4), ("2-classes", 32, 2), ("6-classes", 32, 6),
+])
+def test_run_that_does_not_fit_the_dataset_exits_3_naming_both(
+    misfits, capsys, command, name, features, classes
+):
+    data = misfits / f"{name}.jsonl"
+    rc = main([command, "--data", str(data), "--split", str(misfits / f"{name}.json"),
+               "--run", str(misfits / "run"), "--beta", "0.5"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: {misfits / 'run' / 'target.ckpt'} takes 32 features and 4 classes, "
+        f"but {data} has {features} features and {classes} classes\n"
+    )
+
+
 def test_missing_data_file_exits_3(tmp_path, capsys):
     rc = main(["split", "--data", str(tmp_path / "missing.jsonl"),
                "--out", str(tmp_path / "m.json")])

@@ -13,6 +13,7 @@ from fade.data import (
     PropagationGraph,
     adjacency_entries,
     atomic_write,
+    event_groups,
     load_dataset,
     normalized_adjacency,
     save_dataset,
@@ -187,6 +188,17 @@ class TestIO:
         ("feature_dim", True),
         ("classes", ["a", "a"]),
         ("classes", ["a", 1]),
+        ("classes", ["a\u0001", "b"]),
+        ("classes", ["\ud800", "b"]),
+        ("classes", ["a", "b\tc"]),
+        ("classes", ["a", "\u0085"]),
+        ("id", "q\n"),
+        ("id", "q\u007f"),
+        ("id", "\udfff"),
+        ("event", "e\t"),
+        ("event", "\u0000"),
+        ("event", "e\ufffe"),
+        ("event", "e\uffff"),
     ], ids=str)
     def test_wrongly_typed_field_is_a_parse_error_naming_file_line_and_field(
         self, tmp_path, field, value
@@ -253,6 +265,23 @@ class TestIO:
             assert a.id == b.id and a.event == b.event and a.label == b.label
             assert a.graph.n == b.graph.n and a.graph.edges == b.graph.edges
             assert np.array_equal(a.graph.x, b.graph.x)
+
+    def test_event_groups_lists_positions_in_first_appearance_order(self):
+        groups = event_groups(["b", "a", "b", "c", "a", "b"])
+        assert list(groups) == ["b", "a", "c"]
+        assert groups == {"b": [0, 2, 5], "a": [1, 4], "c": [3]}
+        assert event_groups(iter([])) == {}
+
+    def test_names_may_hold_any_other_character(self, tmp_path):
+        names = ["plain", "caf\u00e9 \u00a0space", "\u200d\U0001f600", "\ufffd"]
+        ds = Dataset(class_names=names, feature_dim=4, instances=[
+            make_instance(name, event=name, label=k) for k, name in enumerate(names)
+        ])
+        path = tmp_path / "names.jsonl"
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+        assert loaded.class_names == names
+        assert [(i.id, i.event) for i in loaded.instances] == [(n, n) for n in names]
 
     def test_events_helper_preserves_order(self):
         ds = Dataset(

@@ -247,6 +247,17 @@ def test_evaluate_length_mismatch():
         evaluate([0, 1], [0], ["a", "b"])
 
 
+@pytest.mark.parametrize("predictions, labels, message", [
+    ([0, 2], [0, 1], "prediction 2 outside"),
+    ([0, 1], [3, 1], "label 3 outside"),
+    ([0, -1], [0, 1], "prediction -1 outside"),
+    ([0, 1], [-2, 1], "label -2 outside"),
+])
+def test_evaluate_rejects_a_class_index_outside_the_names(predictions, labels, message):
+    with pytest.raises(ValueError, match=f"evaluate: {message} \\[0, 2\\)"):
+        evaluate(predictions, labels, ["a", "b"])
+
+
 # ---------------------------------------------------------------------------
 # beta sweep
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fade import autodiff as ad
 from fade.autodiff import TrainingError
-from fade.data import Dataset, NewsInstance, PropagationGraph
+from fade.data import Dataset, NewsInstance, PropagationGraph, event_groups
 from fade.predictors import (
+    _event_batches,
     ArchConfig,
     CheckpointError,
     EventOnlyPredictorParams,
@@ -219,6 +222,43 @@ def test_event_mean_pool_idempotent():
 def test_event_mean_pool_length_mismatch():
     with pytest.raises(ad.ShapeError):
         event_mean_pool(np.zeros((3, 2)), ["a", "b"])
+
+
+_ONE_NODE = PropagationGraph(n=1, x=np.zeros((1, 1)), edges=[])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    events=st.lists(st.integers(0, 9), min_size=1, max_size=40),
+    batch_size=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_event_batches_hold_whole_contiguous_events(events, batch_size, seed):
+    # train_event_only pools each batch by segments, which needs this.
+    insts = [NewsInstance(f"n{i}", _ONE_NODE, 0, f"e{e}") for i, e in enumerate(events)]
+    batches = _event_batches(insts, batch_size, np.random.default_rng(seed))
+    assert sorted(i for batch in batches for i in batch) == list(range(len(insts)))
+    owner = {}
+    for b, batch in enumerate(batches):
+        labels = [insts[i].event for i in batch]
+        for event, positions in event_groups(labels).items():
+            assert owner.setdefault(event, b) == b, f"{event} spans two batches"
+            assert positions == list(range(positions[0], positions[-1] + 1))
+        if len(batch) > batch_size:  # only a single event larger than a batch
+            assert len(event_groups(labels)) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(event_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_segment_pool_over_event_segments_equals_event_mean_pool(event_sizes, seed):
+    # A batch as _event_batches makes it: each event's rows contiguous.
+    events = [f"e{k}" for k, size in enumerate(event_sizes) for _ in range(size)]
+    reps = np.random.default_rng(seed).normal(size=(len(events), 5))
+    sizes = [len(positions) for positions in event_groups(events).values()]
+    means = ad.segment_pool(ad.const(reps), sizes, mean=True).value
+    pooled = event_mean_pool(reps, events)
+    assert np.max(np.abs(np.repeat(means, sizes, axis=0) - pooled)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,27 @@ def test_manifest_load_without_dataset_leaves_events_empty(tmp_path):
     save_manifest(event_separated_split(ds, SplitRatios(), seed=0), path)
     loaded = load_manifest(path)
     assert loaded.train_events == set()
+
+
+def test_manifest_load_rejects_an_id_the_dataset_lacks(tmp_path):
+    ds = dataset_from_sizes([6, 5, 9])
+    path = tmp_path / "split.json"
+    manifest = event_separated_split(ds, SplitRatios(), seed=0)
+    manifest.test_ids.append("nowhere")
+    save_manifest(manifest, path)
+    with pytest.raises(SplitError, match=re.escape(f"manifest {path}: unknown instance id 'nowhere'")):
+        load_manifest(path, ds)
+
+
+@pytest.mark.parametrize("val_fraction", [0, 0.05, 0.1, 0.15, 0.3, 0.7, 0.99])
+def test_mixed_validation_count_is_the_ceiling_the_old_loop_reached(val_fraction):
+    for total in range(3, 201):
+        val_n = 0  # the loop event_mixed_split used to run
+        while val_n < val_fraction * total and val_n < total - 2:
+            val_n += 1
+        ds = dataset_from_sizes([total - 2, 1, 1])
+        manifest = event_mixed_split(ds, SplitRatios(val_fraction=val_fraction), seed=0)
+        assert len(manifest.val_ids) == val_n, total
 
 
 def test_manifest_missing_field(tmp_path):
