@@ -167,6 +167,21 @@ def _predict_run(args, cfg: RunConfig, require_manifest: bool = True):
     return ds, insts, beta, source, predictions
 
 
+def _spawn_pool(workers: int):
+    """A process pool of ``workers`` spawned processes.
+
+    Spawn, not fork: a fresh worker imports `fade`, so it computes on one BLAS
+    thread like this process, and the processes share the cores without
+    oversubscribing them.
+    """
+    # Imported here, not at module level, so that `import fade.cli`, which
+    # every command pays for, does not load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -198,9 +213,14 @@ def cmd_split(args) -> int:
     return 0
 
 
+def _train_event_only_run(data, split, hyper, seed, arch):
+    """``train``'s event-only fit, on inputs this process reads itself."""
+    ds, manifest = _load_inputs(data, split)
+    return train_event_only(ds, manifest.train_ids, manifest.val_ids, hyper, seed=seed, arch=arch)
+
+
 def cmd_train(args) -> int:
     cfg = _build_config(args, reads_manifest=True)
-    ds, manifest = _load_inputs(args.data, args.split)
     hyper = cfg.hyperparams()
     arch = cfg.arch()
     # --out is checked now but made after training, so a failed run leaves no run directory.
@@ -208,13 +228,18 @@ def cmd_train(args) -> int:
     if run.exists() and not run.is_dir():
         raise NotADirectoryError(f"--out {run}: exists and is not a directory")
 
+    # The two predictors train independently, so a spawned worker fits the
+    # event-only one meanwhile.  It is started first and reads the inputs
+    # itself: sending it the dataset would cost more memory than reading it
+    # twice.  On a failure here the pool waits for the worker.
     t0 = time.perf_counter()
-    target, target_log = train_target(
-        ds, manifest.train_ids, manifest.val_ids, hyper, seed=args.seed, arch=arch
-    )
-    event_only, event_log = train_event_only(
-        ds, manifest.train_ids, manifest.val_ids, hyper, seed=args.seed, arch=arch
-    )
+    with _spawn_pool(1) as pool:
+        future = pool.submit(_train_event_only_run, args.data, args.split, hyper, args.seed, arch)
+        ds, manifest = _load_inputs(args.data, args.split)
+        target, target_log = train_target(
+            ds, manifest.train_ids, manifest.val_ids, hyper, seed=args.seed, arch=arch
+        )
+        event_only, event_log = future.result()
     elapsed = time.perf_counter() - t0
 
     run.mkdir(exist_ok=True)
@@ -318,11 +343,6 @@ def _ablate_one_seed(cfg: RunConfig, seed: int) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    # Imported here, not at module level, so that `import fade.cli`, which
-    # every command pays for, does not load them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     cfg = _build_config(args, ablate_seeds=args.seeds)
     n_seeds = cfg.get("ablate_seeds")
     seeds = list(range(n_seeds))
@@ -330,17 +350,15 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     # Seeds run on spawned worker processes, one seed per task; `map` returns
-    # them in seed order.  Spawn, not fork: a fresh worker imports `fade`, so
-    # it computes on one BLAS thread like this process, and the seeds share the
-    # cores without oversubscribing them.  There is always a pool, even for one
-    # seed, so there is one code path whatever the core count.
+    # them in seed order.  There is always a pool, even for one seed, so there
+    # is one code path whatever the core count.
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     workers = min(n_seeds, cpus)
     t0 = time.perf_counter()
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+    with _spawn_pool(workers) as pool:
         try:
             results = list(pool.map(_ablate_one_seed, [cfg] * n_seeds, seeds))
         except BaseException:

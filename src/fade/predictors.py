@@ -462,4 +462,16 @@ def load_checkpoint(path):
     extra = sorted(set(t) - set(params.named_tensors()))
     if extra:
         raise CheckpointError(f"corrupt checkpoint {path}: unexpected tensors {extra}")
+    # The heads must chain onto the encoder: hidden_dim rows, C classes, P projection dims.
+    h, c = encoder.hidden_dim, classifier.w.shape[1]
+    shapes = {"classifier.weight": (h, c), "classifier.bias": (1, c)}
+    if kind == "target":
+        p = params.projection.w1.shape[1]
+        shapes.update({"projection.w1": (h, p), "projection.b1": (1, p),
+                       "projection.w2": (p, p), "projection.b2": (1, p)})
+    for name, shape in shapes.items():
+        if t[name].shape != shape:
+            raise CheckpointError(
+                f"corrupt checkpoint {path}: {name} has shape {t[name].shape}, expected {shape}"
+            )
     return params

@@ -14,7 +14,7 @@ from fade.cli import main
 from fade.config import RunConfig
 from fade.data import load_dataset
 from fade.inference import target_logits
-from fade.predictors import load_checkpoint
+from fade.predictors import load_checkpoint, save_checkpoint, train_event_only, train_target
 from fade.splitter import load_manifest
 
 # Small-but-real pipeline knobs: 2 classes, 12 events, 3 epochs.
@@ -283,7 +283,11 @@ def test_train_bad_out_exits_3_before_training(workspace, tmp_path, capsys, monk
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
 
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
     monkeypatch.setattr(cli, "train_target", no_training)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     taken = tmp_path / "taken"
     taken.write_text("")
     argv = ["train", "--data", workspace["data"], "--split", workspace["manifest"],
@@ -291,6 +295,37 @@ def test_train_bad_out_exits_3_before_training(workspace, tmp_path, capsys, monk
     assert main(argv) == 3
     assert str(taken) in capsys.readouterr().err
     assert taken.read_text() == ""
+
+
+def test_train_bad_out_is_reported_before_missing_inputs(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = ["train", "--data", str(tmp_path / "missing.jsonl"),
+            "--split", str(tmp_path / "missing.json"), "--out", str(taken)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: --out {taken}: exists and is not a directory\n"
+
+
+def test_train_worker_matches_serial_trainers(workspace):
+    cfg = RunConfig()
+    cfg.apply_overrides(FAST[1::2])
+    ds = load_dataset(workspace["data"])
+    manifest = load_manifest(workspace["manifest"], ds)
+    fits = {
+        "target": train_target(ds, manifest.train_ids, manifest.val_ids, cfg.hyperparams(),
+                               seed=5, arch=cfg.arch()),
+        "event_only": train_event_only(ds, manifest.train_ids, manifest.val_ids,
+                                       cfg.hyperparams(), seed=5, arch=cfg.arch()),
+    }
+    run = Path(workspace["run"])
+    log = json.loads((run / "log.json").read_text())
+    for name, (params, rows) in fits.items():
+        saved = load_checkpoint(run / f"{name}.ckpt").named_tensors()
+        expected = params.named_tensors()
+        assert list(saved) == list(expected), name
+        for key, tensor in expected.items():
+            assert np.array_equal(saved[key], tensor), key
+        assert log[name] == rows, name
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -398,6 +433,10 @@ def test_missing_data_file_exits_3(tmp_path, capsys):
 
 def test_corrupt_checkpoint_exits_3(workspace, tmp_path, capsys):
     blob = (workspace["root"] / "run" / "target.ckpt").read_bytes()
+    # A well-formed archive whose classifier bias has one class fewer than its weight.
+    target = load_checkpoint(workspace["root"] / "run" / "target.ckpt")
+    target.classifier.b = target.classifier.b[:, 1:]
+    save_checkpoint(target, tmp_path / "short_bias.ckpt")
     # The first byte of classifier.weight's data, after its .npy header line.
     data_byte = blob.index(b"\n", blob.index(b"NUMPY", blob.index(b"classifier.weight"))) + 1
     inputs = [
@@ -405,6 +444,7 @@ def test_corrupt_checkpoint_exits_3(workspace, tmp_path, capsys):
         blob[: len(blob) // 2],
         blob[:data_byte] + bytes([blob[data_byte] ^ 0x01]) + blob[data_byte + 1 :],
         b"FADE" + (1).to_bytes(4, "little") + blob[8:],
+        (tmp_path / "short_bias.ckpt").read_bytes(),
     ]
     for n, bad_blob in enumerate(inputs):
         bad = tmp_path / f"badrun{n}"

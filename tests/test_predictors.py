@@ -757,3 +757,26 @@ def test_checkpoint_missing_tensor(tmp_path):
         np.savez(fh, kind="target", pooling="mean", **tensors)
     with pytest.raises(CheckpointError, match="partial.ckpt: missing tensor 'classifier.bias'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind, name, shape", [
+    ("target", "classifier.bias", (1, 3)),
+    ("target", "classifier.bias", (2, 2)),
+    ("target", "classifier.weight", (7, 2)),
+    ("target", "projection.w1", (7, 4)),
+    ("target", "projection.b1", (1, 3)),
+    ("target", "projection.w2", (4, 5)),
+    ("target", "projection.b2", (4, 1)),
+    ("event_only", "classifier.weight", (9, 2)),
+    ("event_only", "classifier.bias", (1, 1)),
+])
+def test_checkpoint_head_that_does_not_chain_onto_the_encoder(tmp_path, kind, name, shape):
+    target, event = trained_pair(tmp_path)
+    tensors = (target if kind == "target" else event).named_tensors()
+    tensors[name] = np.zeros(shape)
+    path = tmp_path / "heads.ckpt"
+    with path.open("wb") as fh:
+        np.savez(fh, kind=kind, pooling="mean", **tensors)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"corrupt checkpoint {path}: {name} has shape {shape}, ")
