@@ -172,8 +172,8 @@ def gcn_layer(buckets, h: Node, w: Node) -> Node:
     return out
 
 
-def segment_pool(h: Node, sizes, mean: bool) -> Node:
-    """Per-segment sums (or means) of consecutive rows, shape (sum sizes, c) -> (B, c).
+def segment_pool(h: Node, sizes) -> Node:
+    """Per-segment means of consecutive rows, shape (sum sizes, c) -> (B, c).
 
     Segment i is the next ``sizes[i]`` rows of h; every size must be at
     least 1.
@@ -186,7 +186,7 @@ def segment_pool(h: Node, sizes, mean: bool) -> Node:
         raise ShapeError(
             f"segment_pool: sizes sum to {sizes.sum()}, input has {h.value.shape[0]} rows"
         )
-    scale = 1.0 / sizes[:, None] if mean else 1.0
+    scale = 1.0 / sizes[:, None]
     starts = np.cumsum(sizes) - sizes
     out = Node(np.add.reduceat(h.value, starts, axis=0) * scale, (h,))
 

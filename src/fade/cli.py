@@ -29,6 +29,7 @@ from .config import ConfigError, RunConfig, load_config
 from .data import DatasetError, atomic_write, load_dataset, save_dataset
 from .inference import (
     DebiasConfig,
+    debias,
     evaluate,
     event_only_logits,
     f1_bar_chart_svg,
@@ -83,21 +84,23 @@ def _write_json(path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-# Keys that only `split` reads.  The commands that read a manifest reject them
-# on the command line, where they would otherwise be ignored silently; config
-# files are shared across commands and may hold them.
+# (keys, reason): keys a command never reads.  `_build_config` rejects them on
+# the command line, where they would otherwise be ignored silently; config files
+# are shared across commands and may hold them.
 SPLIT_KEYS = ("split_mode", "val_fraction", "train_parts", "test_parts")
+FROM_MANIFEST = (SPLIT_KEYS, "the split comes from the manifest")
+ABLATE_UNREAD = (("beta", "split_mode"), "ablate sweeps beta and runs both split modes")
 
 
-def _build_config(args, reads_manifest: bool = False, **flags) -> RunConfig:
+def _build_config(args, unread=((), ""), **flags) -> RunConfig:
     """Config file, then ``--set``, then each ``flags`` key whose flag was given; checked once."""
     cfg = load_config(args.config) if args.config else RunConfig()
     cfg.apply_overrides(args.set)
-    if reads_manifest:
-        for pair in args.set:
-            key = pair.split("=", 1)[0].strip()
-            if key in SPLIT_KEYS:
-                raise ConfigError(f"--set {key}: not used here, the split comes from the manifest")
+    keys, reason = unread
+    for pair in args.set:
+        key = pair.split("=", 1)[0].strip()
+        if key in keys:
+            raise ConfigError(f"--set {key}: not used here, {reason}")
     for key, value in flags.items():
         if value is not None:
             cfg.set(key, value)
@@ -220,7 +223,7 @@ def _train_event_only_run(data, split, hyper, seed, arch):
 
 
 def cmd_train(args) -> int:
-    cfg = _build_config(args, reads_manifest=True)
+    cfg = _build_config(args, unread=FROM_MANIFEST)
     hyper = cfg.hyperparams()
     arch = cfg.arch()
     # --out is checked now but made after training, so a failed run leaves no run directory.
@@ -263,7 +266,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _build_config(args, reads_manifest=True, beta=args.beta)
+    cfg = _build_config(args, unread=FROM_MANIFEST, beta=args.beta)
     ds, insts, beta, source, predictions = _predict_run(args, cfg)
     labels, events = [i.label for i in insts], [i.event for i in insts]
     report = evaluate(predictions, labels, ds.class_names, events=events)
@@ -280,7 +283,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _build_config(args, reads_manifest=True, beta=args.beta)
+    cfg = _build_config(args, unread=FROM_MANIFEST, beta=args.beta)
     ds, insts, beta, source, predictions = _predict_run(args, cfg, require_manifest=False)
     rows = [
         {"id": inst.id, "event": inst.event, "prediction": ds.class_names[int(p)]}
@@ -332,10 +335,11 @@ def _ablate_one_seed(cfg: RunConfig, seed: int) -> dict:
     beta = sweep_beta(target, event_only, sep_val)
     # Each model's test logits once; the beta=0 variants need no event-only logits.
     o_t = target_logits(target, sep_test)
+    o_e = event_only_logits(event_only, sep_test)
     return {
         "seed": seed,
         "beta": beta,
-        "full": acc(o_t - beta * event_only_logits(event_only, sep_test), sep_test),
+        "full": acc(debias(o_t, o_e, DebiasConfig(beta=beta)), sep_test),
         "beta0": acc(o_t, sep_test),
         "alpha0_beta0": acc(target_logits(plain, sep_test), sep_test),
         "event_mixed": acc(target_logits(plain_mixed, mixed_test), mixed_test),
@@ -343,7 +347,9 @@ def _ablate_one_seed(cfg: RunConfig, seed: int) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _build_config(args, ablate_seeds=args.seeds)
+    cfg = _build_config(args, unread=ABLATE_UNREAD, ablate_seeds=args.seeds)
+    if cfg.get("val_fraction") == 0:
+        raise ConfigError("val_fraction must be > 0 for ablate: beta is swept on validation events")
     n_seeds = cfg.get("ablate_seeds")
     seeds = list(range(n_seeds))
     out = Path(args.out)

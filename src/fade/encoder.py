@@ -2,11 +2,11 @@
 
 Each layer computes relu(N @ H @ W) with N the symmetric-normalized
 adjacency (self-connections included), as one autodiff node
-(``autodiff.gcn_layer``); the final node representations are pooled (mean
-or add) into a single row vector per graph by segment sums
-(``autodiff.segment_pool``).  N is never formed densely: a batch stacks its
-graphs' sparse entries and multiplies by them one degree bucket at a time,
-so time and memory grow with the edges, not with the square of the nodes.
+(``autodiff.gcn_layer``); the final node representations are mean-pooled
+into a single row vector per graph (``autodiff.segment_pool``).  N is never
+formed densely: a batch stacks its graphs' sparse entries and multiplies by
+them one degree bucket at a time, so time and memory grow with the edges,
+not with the square of the nodes.
 The first layer's N @ X is constant data and is cached per graph.  The same
 architecture backs both the target and the event-only predictor, with
 independent weights.
@@ -28,7 +28,7 @@ __all__ = [
     "encode_batch_node",
 ]
 
-POOLINGS = ("mean", "add")
+POOLINGS = ("mean",)
 
 
 @dataclass
@@ -102,7 +102,7 @@ def encode_batch_node(
     h = gcn_layer(None, const(nx), layer_nodes[0])
     for w in layer_nodes[1:]:
         h = gcn_layer(buckets, h, w)
-    return segment_pool(h, sizes, pooling == "mean")
+    return segment_pool(h, sizes)
 
 
 def encode_all(

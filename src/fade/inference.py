@@ -145,7 +145,7 @@ def sweep_beta(
     o_e = event_only_logits(event_only, instances)
     best_beta, best_acc = grid[0], -1.0
     for beta in grid:
-        acc = float(np.mean(np.argmax(o_t - beta * o_e, axis=1) == labels))
+        acc = float(np.mean(np.argmax(debias(o_t, o_e, DebiasConfig(beta)), axis=1) == labels))
         if acc > best_acc:
             best_beta, best_acc = beta, acc
     return best_beta

@@ -395,7 +395,7 @@ def train_event_only(
         # A batch's events are contiguous segments; expand maps each instance
         # back to its event's row.
         sizes = [len(members) for members in event_groups(i.event for i in insts).values()]
-        means = ad.segment_pool(reps, sizes, mean=True)
+        means = ad.segment_pool(reps, sizes)
         event_logits = _affine_node(means, nodes["classifier.weight"], nodes["classifier.bias"])
         expand = np.repeat(np.eye(len(sizes)), sizes, axis=0)
         loss = ce_loss(ad.matmul(ad.const(expand), event_logits), [i.label for i in insts])

@@ -156,34 +156,32 @@ class TestGcnLayer:
             ad.gcn_layer(buckets, ad.const(np.zeros((3, 2))), ad.const(np.zeros((3, 4))))
 
 
-def pool_matrix(sizes, mean):
-    """The dense (B, sum sizes) pooling matrix that ``ad.segment_pool`` replaces."""
+def pool_matrix(sizes):
+    """The dense (B, sum sizes) mean-pooling matrix that ``ad.segment_pool`` replaces."""
     pool = np.zeros((len(sizes), sum(sizes)))
     offset = 0
     for i, n in enumerate(sizes):
-        pool[i, offset : offset + n] = 1.0 / n if mean else 1.0
+        pool[i, offset : offset + n] = 1.0 / n
         offset += n
     return pool
 
 
 class TestSegmentPool:
-    @pytest.mark.parametrize("mean", [True, False])
     @pytest.mark.parametrize("sizes", [[1, 4, 2, 7], [3, 1, 1, 5, 1], [1], [6]])
-    def test_matches_dense_pool_matrix(self, sizes, mean):
+    def test_matches_dense_pool_matrix(self, sizes):
         h = np.random.default_rng(len(sizes)).normal(size=(sum(sizes), 3))
-        out = ad.segment_pool(ad.const(h), sizes, mean)
-        assert np.allclose(out.value, pool_matrix(sizes, mean) @ h, rtol=1e-12, atol=1e-12)
+        out = ad.segment_pool(ad.const(h), sizes)
+        assert np.allclose(out.value, pool_matrix(sizes) @ h, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("mean", [True, False])
-    def test_gradient_matches_finite_differences(self, mean):
+    def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         sizes = [1, 3, 2, 1]
         h_val = rng.uniform(-1, 1, (sum(sizes), 3))
         c_val = rng.uniform(-1, 1, (len(sizes), 3))
         h = ad.param(h_val)
-        product = ad.hadamard(ad.segment_pool(h, sizes, mean), ad.const(c_val))
+        product = ad.hadamard(ad.segment_pool(h, sizes), ad.const(c_val))
         grads = ad.backward(ad.sum_all(ad.hadamard(product, product)))
-        pool = pool_matrix(sizes, mean)
+        pool = pool_matrix(sizes)
         fd = numeric_grad(lambda: (((pool @ h_val) * c_val) ** 2).sum(), h_val)
         assert rel_err(grads[h], fd) < 1e-6
 
@@ -191,11 +189,11 @@ class TestSegmentPool:
     def test_size_below_one_rejected(self, sizes):
         h = ad.const(np.ones((max(sum(sizes), 1), 2)))
         with pytest.raises(ad.ShapeError, match=">= 1"):
-            ad.segment_pool(h, sizes, True)
+            ad.segment_pool(h, sizes)
 
     def test_sizes_must_cover_every_row(self):
         with pytest.raises(ad.ShapeError, match="sum to 3"):
-            ad.segment_pool(ad.const(np.ones((4, 2))), [1, 2], False)
+            ad.segment_pool(ad.const(np.ones((4, 2))), [1, 2])
 
 
 class TestElementwise:

@@ -1,8 +1,10 @@
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,10 @@ from fade.autodiff import TrainingError
 from fade.cli import main
 from fade.config import RunConfig
 from fade.data import load_dataset
-from fade.inference import target_logits
+from fade.inference import DebiasConfig, evaluate, predict, target_logits
 from fade.predictors import load_checkpoint, save_checkpoint, train_event_only, train_target
-from fade.splitter import load_manifest
+from fade.splitter import event_mixed_split, event_separated_split, load_manifest
+from fade.synthgen import generate
 
 # Small-but-real pipeline knobs: 2 classes, 12 events, 3 epochs.
 FAST = [
@@ -219,6 +222,64 @@ def test_ablate_pool_matches_serial_loop_and_restores_environment(tmp_path, caps
     }
 
 
+def test_ablate_scores_each_variant_as_eval_does():
+    # `ablate` scores logits itself; `eval` goes through predict and evaluate.
+    # Retrained from the same seeds, the four models score the same both ways.
+    # At seed 2 the sweep picks beta > 0, so `full` and `beta0` differ.
+    seed = 2
+    cfg = RunConfig()
+    cfg.apply_overrides(TINY_ABLATE[1::2])
+    row = cli._ablate_one_seed(cfg, seed)
+    assert row["beta"] > 0
+
+    ds = generate(cfg.synth_config(seed))
+    hyper, arch = cfg.hyperparams(), cfg.arch()
+    sep = event_separated_split(ds, cfg.split_ratios(), seed)
+    mixed = event_mixed_split(ds, cfg.split_ratios(), seed)
+
+    def fit(trainer, split, hyper):
+        return trainer(ds, split.train_ids, split.val_ids, hyper, seed=seed, arch=arch)[0]
+
+    target, event_only = fit(train_target, sep, hyper), fit(train_event_only, sep, hyper)
+    hyper0 = replace(hyper, alpha=0.0)
+    plain, plain_mixed = fit(train_target, sep, hyper0), fit(train_target, mixed, hyper0)
+
+    by_id = ds.by_id()
+
+    def eval_accuracy(model, ids, beta):
+        insts = [by_id[i] for i in ids]
+        predictions = predict(model, event_only, insts, DebiasConfig(beta=beta))
+        return evaluate(predictions, [i.label for i in insts], ds.class_names).accuracy
+
+    assert row["full"] == eval_accuracy(target, sep.test_ids, row["beta"])
+    assert row["beta0"] == eval_accuracy(target, sep.test_ids, 0.0)
+    assert row["alpha0_beta0"] == eval_accuracy(plain, sep.test_ids, 0.0)
+    assert row["event_mixed"] == eval_accuracy(plain_mixed, mixed.test_ids, 0.0)
+
+
+@pytest.mark.parametrize("override, message", [
+    ("beta=0.9", "--set beta: not used here, ablate sweeps beta and runs both split modes"),
+    ("split_mode=mixed",
+     "--set split_mode: not used here, ablate sweeps beta and runs both split modes"),
+    ("val_fraction=0", "val_fraction must be > 0 for ablate: beta is swept on validation events"),
+], ids=["beta", "split_mode", "val_fraction"])
+def test_ablate_rejects_what_it_cannot_honour_before_any_seed_runs(
+    tmp_path, capsys, monkeypatch, override, message
+):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    # A shared config file may hold the keys that ablate does not read.
+    config = tmp_path / "shared.cfg"
+    config.write_text("beta = 0.9\nsplit_mode = mixed\n")
+    out = tmp_path / "ab"
+    argv = ["ablate", "--out", str(out), "--config", str(config), "--set", override]
+    assert main([*argv, *TINY_ABLATE]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_ablate_numeric_failure_in_a_worker_exits_4(tmp_path, capsys):
     rc = main(["ablate", "--out", str(tmp_path / "ab"), "--seeds", "2",
                "--set", "lr=1e300", *TINY_ABLATE])
@@ -387,6 +448,14 @@ def test_split_keys_in_a_config_file_are_accepted(workspace, tmp_path, capsys):
     assert rc == 0
 
 
+def test_train_with_add_pooling_exits_2_naming_pooling(workspace, tmp_path, capsys):
+    rc = main(["train", "--data", workspace["data"], "--split", workspace["manifest"],
+               "--out", str(tmp_path / "run"), "--set", "pooling=add"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: pooling must be one of ('mean',), got 'add'\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     rc = main(["gen-synth", "--out", str(tmp_path / "x.jsonl"), "--set", "nope=1"])
     assert rc == 2
@@ -433,8 +502,11 @@ def test_missing_data_file_exits_3(tmp_path, capsys):
 
 def test_corrupt_checkpoint_exits_3(workspace, tmp_path, capsys):
     blob = (workspace["root"] / "run" / "target.ckpt").read_bytes()
-    # A well-formed archive whose classifier bias has one class fewer than its weight.
     target = load_checkpoint(workspace["root"] / "run" / "target.ckpt")
+    # A well-formed archive holding the removed `add` pooling.
+    add_pooling = io.BytesIO()
+    np.savez(add_pooling, kind="target", pooling="add", **target.named_tensors())
+    # A well-formed archive whose classifier bias has one class fewer than its weight.
     target.classifier.b = target.classifier.b[:, 1:]
     save_checkpoint(target, tmp_path / "short_bias.ckpt")
     # The first byte of classifier.weight's data, after its .npy header line.
@@ -445,6 +517,7 @@ def test_corrupt_checkpoint_exits_3(workspace, tmp_path, capsys):
         blob[:data_byte] + bytes([blob[data_byte] ^ 0x01]) + blob[data_byte + 1 :],
         b"FADE" + (1).to_bytes(4, "little") + blob[8:],
         (tmp_path / "short_bias.ckpt").read_bytes(),
+        add_pooling.getvalue(),
     ]
     for n, bad_blob in enumerate(inputs):
         bad = tmp_path / f"badrun{n}"

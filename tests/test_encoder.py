@@ -18,8 +18,8 @@ def random_tree(rng, n, dim):
     return PropagationGraph(n=n, x=rng.normal(size=(n, dim)), edges=edges)
 
 
-def brute_force_encode(layers, g, pooling):
-    # independent dense evaluation of the layer rule and pooling
+def brute_force_encode(layers, g):
+    # independent dense evaluation of the layer rule and mean pooling
     a = np.zeros((g.n, g.n))
     for p, c in g.edges:
         a[p, c] = a[c, p] = 1.0
@@ -29,7 +29,7 @@ def brute_force_encode(layers, g, pooling):
     h = g.x
     for w in layers:
         h = np.maximum(n @ h @ w, 0.0)
-    return h.mean(axis=0, keepdims=True) if pooling == "mean" else h.sum(axis=0, keepdims=True)
+    return h.mean(axis=0, keepdims=True)
 
 
 class TestEncode:
@@ -46,12 +46,11 @@ class TestEncode:
         params = init_encoder(5, 8, 2, rng)
         assert np.array_equal(encode_all(params, [g]), np.zeros((1, 8)))
 
-    @pytest.mark.parametrize("pooling", ["mean", "add"])
-    def test_path_graph_matches_brute_force(self, pooling):
+    def test_path_graph_matches_brute_force(self):
         rng = np.random.default_rng(1)
         g = PropagationGraph(n=3, x=rng.normal(size=(3, 4)), edges=[(0, 1), (1, 2)])
-        params = init_encoder(4, 6, 2, rng, pooling=pooling)
-        expected = brute_force_encode(params.layers, g, pooling)
+        params = init_encoder(4, 6, 2, rng)
+        expected = brute_force_encode(params.layers, g)
         assert np.max(np.abs(encode_all(params, [g]) - expected)) < 1e-10
 
     def test_permutation_invariance(self):

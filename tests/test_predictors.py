@@ -256,7 +256,7 @@ def test_segment_pool_over_event_segments_equals_event_mean_pool(event_sizes, se
     events = [f"e{k}" for k, size in enumerate(event_sizes) for _ in range(size)]
     reps = np.random.default_rng(seed).normal(size=(len(events), 5))
     sizes = [len(positions) for positions in event_groups(events).values()]
-    means = ad.segment_pool(ad.const(reps), sizes, mean=True).value
+    means = ad.segment_pool(ad.const(reps), sizes).value
     pooled = event_mean_pool(reps, events)
     assert np.max(np.abs(np.repeat(means, sizes, axis=0) - pooled)) < 1e-12
 
@@ -663,14 +663,17 @@ def test_checkpoint_roundtrip_event_only(tmp_path):
         assert np.array_equal(a, b)
 
 
-def test_checkpoint_preserves_add_pooling(tmp_path):
-    ds = make_dataset(seed=31)
-    train, val = split_ids(ds, 3)
-    arch = ArchConfig(hidden_dim=8, n_layers=2, pooling="add", proj_dim=4)
-    params, _ = train_target(ds, train, val, Hyperparams(epochs=1), seed=0, arch=arch)
+def test_checkpoint_with_add_pooling_is_rejected(tmp_path):
+    # `add` pooling was removed; a checkpoint that stored it must not load as `mean`.
+    target, _ = trained_pair(tmp_path)
     path = tmp_path / "add.ckpt"
-    save_checkpoint(params, path)
-    assert load_checkpoint(path).encoder.pooling == "add"
+    with path.open("wb") as fh:
+        np.savez(fh, kind="target", pooling="add", **target.named_tensors())
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == (
+        f"corrupt checkpoint {path}: pooling must be one of ('mean',), got 'add'"
+    )
 
 
 def test_checkpoint_missing_file(tmp_path):
