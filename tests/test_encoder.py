@@ -84,6 +84,14 @@ class TestEncode:
         with pytest.raises(ShapeError, match="layer 0"):
             params.validate()
 
+    def test_add_pooling_is_rejected(self):
+        g = PropagationGraph(n=2, x=np.zeros((2, 3)), edges=[(0, 1)])
+        layers = [np.zeros((3, 8))]
+        with pytest.raises(ValueError, match="pooling must be one of"):
+            EncoderParams(layers=layers, pooling="add").validate()
+        with pytest.raises(ValueError, match="pooling must be one of"):
+            encode_batch_node([param(layers[0])], [g], "add")
+
 
 class TestBatched:
     def test_batched_matches_per_instance(self):

@@ -303,6 +303,12 @@ def test_sweep_beta_deterministic(trained):
     assert a == b
 
 
+def test_sweep_beta_rejects_a_negative_grid_value_as_debias_does(trained):
+    _, target, event_only, test_insts = trained
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        sweep_beta(target, event_only, test_insts, grid=[-0.1, 0.5])
+
+
 def test_sweep_beta_empty_grid(trained):
     _, target, event_only, test_insts = trained
     with pytest.raises(ValueError):
