@@ -368,9 +368,6 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> AdamState:
     """One Adam update with bias correction; params mutated in place."""
     if len(params) != len(grads) or len(params) != len(state.m):
@@ -381,6 +378,7 @@ def adam_step(
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ShapeError(f"adam_step: param shape {p.shape} vs grad shape {g.shape}")
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):

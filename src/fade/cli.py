@@ -29,15 +29,12 @@ from .config import ConfigError, RunConfig, load_config
 from .data import DatasetError, atomic_write, load_dataset, save_dataset
 from .inference import (
     DebiasConfig,
-    debias,
     evaluate,
-    event_only_logits,
     f1_bar_chart_svg,
     predict,
     report_to_json,
     report_to_text,
     sweep_beta,
-    target_logits,
 )
 from .predictors import (
     CheckpointError,
@@ -82,6 +79,19 @@ def _write_text(path, text: str) -> None:
 
 def _write_json(path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _run_dir(path) -> Path:
+    """``--out`` of `train` or `ablate`, checked before any work.
+
+    It is made only when the first file is written, so a failed run leaves none.
+    """
+    out = Path(path)
+    for part in (out, *out.parents):
+        if part.exists() and not part.is_dir():
+            where = "" if part == out else f" {part}"
+            raise NotADirectoryError(f"--out {out}:{where} exists and is not a directory")
+    return out
 
 
 # (keys, reason): keys a command never reads.  `_build_config` rejects them on
@@ -226,10 +236,7 @@ def cmd_train(args) -> int:
     cfg = _build_config(args, unread=FROM_MANIFEST)
     hyper = cfg.hyperparams()
     arch = cfg.arch()
-    # --out is checked now but made after training, so a failed run leaves no run directory.
-    run = _out_path(args.out)
-    if run.exists() and not run.is_dir():
-        raise NotADirectoryError(f"--out {run}: exists and is not a directory")
+    run = _run_dir(args.out)
 
     # The two predictors train independently, so a spawned worker fits the
     # event-only one meanwhile.  It is started first and reads the inputs
@@ -245,7 +252,7 @@ def cmd_train(args) -> int:
         event_only, event_log = future.result()
     elapsed = time.perf_counter() - t0
 
-    run.mkdir(exist_ok=True)
+    run.mkdir(parents=True, exist_ok=True)
     save_checkpoint(target, run / "target.ckpt")
     save_checkpoint(event_only, run / "event_only.ckpt")
     _write_json(
@@ -324,26 +331,20 @@ def _ablate_one_seed(cfg: RunConfig, seed: int) -> dict:
         ds, mixed.train_ids, mixed.val_ids, hyper0, seed=seed, arch=arch
     )
 
-    def acc(logits, insts):
-        labels = np.array([i.label for i in insts])
-        return float(np.mean(np.argmax(logits, axis=1) == labels))
-
     by_id = ds.by_id()
-    sep_val = [by_id[i] for i in sep.val_ids]
-    sep_test = [by_id[i] for i in sep.test_ids]
-    mixed_test = [by_id[i] for i in mixed.test_ids]
-    beta = sweep_beta(target, event_only, sep_val)
-    # Each model's test logits once; the beta=0 variants need no event-only logits.
-    o_t = target_logits(target, sep_test)
-    o_e = event_only_logits(event_only, sep_test)
-    return {
-        "seed": seed,
-        "beta": beta,
-        "full": acc(debias(o_t, o_e, DebiasConfig(beta=beta)), sep_test),
-        "beta0": acc(o_t, sep_test),
-        "alpha0_beta0": acc(target_logits(plain, sep_test), sep_test),
-        "event_mixed": acc(target_logits(plain_mixed, mixed_test), mixed_test),
-    }
+    beta = sweep_beta(target, event_only, [by_id[i] for i in sep.val_ids])
+    row = {"seed": seed, "beta": beta}
+    # Each variant's test accuracy, scored as `eval` scores a run.
+    for name, model, split, b in (
+        ("full", target, sep, beta),
+        ("beta0", target, sep, 0.0),
+        ("alpha0_beta0", plain, sep, 0.0),
+        ("event_mixed", plain_mixed, mixed, 0.0),
+    ):
+        insts = [by_id[i] for i in split.test_ids]
+        predictions = predict(model, event_only, insts, DebiasConfig(beta=b))
+        row[name] = evaluate(predictions, [i.label for i in insts], ds.class_names).accuracy
+    return row
 
 
 def cmd_ablate(args) -> int:
@@ -352,8 +353,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError("val_fraction must be > 0 for ablate: beta is swept on validation events")
     n_seeds = cfg.get("ablate_seeds")
     seeds = list(range(n_seeds))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(args.out)
 
     # Seeds run on spawned worker processes, one seed per task; `map` returns
     # them in seed order.  There is always a pool, even for one seed, so there

@@ -239,7 +239,7 @@ def _text(v) -> bool:
 
 
 def _names(v) -> bool:
-    return (type(v) is list and set(map(type, v)) == {str} and len(set(v)) == len(v)
+    return (type(v) is list and set(map(type, v)) == {str} and len(set(v)) == len(v) > 1
             and not _UNPRINTABLE.search("".join(v)))
 
 
@@ -281,7 +281,7 @@ def load_dataset(path) -> Dataset:
     if not isinstance(header, dict):
         raise DatasetParseError(path, 1, "header must be a JSON object")
     classes = _require(header, "classes", path, 1, _names,
-                       "a non-empty list of distinct printable strings")
+                       "a list of two or more distinct printable strings")
     feature_dim = _require(header, "feature_dim", path, 1, int, "a positive integer")
     if feature_dim < 1:
         raise DatasetParseError(path, 1, "feature_dim must be a positive integer")

@@ -85,16 +85,14 @@ class SplitManifest:
                     raise SplitError(f"events on two sides of a boundary: {sorted(overlap)}")
 
 
-def _manifest(ds: Dataset | None, train_ids, val_ids, test_ids, seed: int) -> SplitManifest:
-    """A manifest of these ids, with each side's event set when ``ds`` is given.
+def _manifest(ds: Dataset, train_ids, val_ids, test_ids, seed: int) -> SplitManifest:
+    """A manifest of these ids, with each side's event set from ``ds``.
 
     An id that ``ds`` does not hold raises KeyError.
     """
     sides = (train_ids, val_ids, test_ids)
-    events = [set(), set(), set()]
-    if ds is not None:
-        events_of = {inst.id: inst.event for inst in ds.instances}
-        events = [{events_of[i] for i in ids} for ids in sides]
+    events_of = {inst.id: inst.event for inst in ds.instances}
+    events = [{events_of[i] for i in ids} for ids in sides]
     return SplitManifest(*sides, *events, seed=seed)
 
 
@@ -169,8 +167,8 @@ def save_manifest(manifest: SplitManifest, path) -> None:
         fh.write("\n")
 
 
-def load_manifest(path, ds: Dataset | None = None) -> SplitManifest:
-    """Read a manifest; event sets are rebuilt when the dataset is supplied.
+def load_manifest(path, ds: Dataset) -> SplitManifest:
+    """Read a manifest of ``ds``'s ids, rebuilding each side's event set from ``ds``.
 
     The file must hold a JSON object with lists of string ids under
     ``train``, ``val`` and ``test`` and an integer ``seed``.

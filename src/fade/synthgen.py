@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .augmentation import sample_unit_vector
 from .data import Dataset, NewsInstance, PropagationGraph, event_groups
 
 __all__ = ["SynthConfig", "PRESETS", "preset", "generate", "bias_report"]
@@ -98,14 +99,6 @@ def preset(name: str, **overrides) -> SynthConfig:
     return replace(PRESETS[name], **overrides)
 
 
-def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    while True:
-        v = rng.standard_normal(dim)
-        n = np.linalg.norm(v)
-        if n > 0:
-            return v / n
-
-
 def _tree_edges(n: int, profile: str, rng: np.random.Generator) -> list[list[int]]:
     if profile == "mixed":
         profile = ("flat", "deep", "random")[rng.integers(3)]
@@ -120,10 +113,11 @@ def generate(cfg: SynthConfig) -> Dataset:
     """Build a dataset per the config; deterministic for a given seed."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
+    dim = cfg.feature_dim
     class_signals = np.stack(
-        [_unit(rng, cfg.feature_dim) * cfg.class_signal_strength for _ in range(cfg.n_classes)]
+        [sample_unit_vector(dim, rng)[0] * cfg.class_signal_strength for _ in range(cfg.n_classes)]
     )
-    styles = np.stack([_unit(rng, cfg.feature_dim) for _ in range(cfg.n_classes)])
+    styles = np.stack([sample_unit_vector(dim, rng)[0] for _ in range(cfg.n_classes)])
     instances = []
     for e in range(cfg.n_events):
         event = f"synthetic-event-{e:03d}"
@@ -134,10 +128,10 @@ def generate(cfg: SynthConfig) -> Dataset:
                 style_class = shared_label
             else:
                 style_class = int(rng.integers(cfg.n_classes))
-            raw = styles[style_class] + cfg.signature_diversity * _unit(rng, cfg.feature_dim)
+            raw = styles[style_class] + cfg.signature_diversity * sample_unit_vector(dim, rng)[0]
             signature = raw / np.linalg.norm(raw) * cfg.signature_strength
         else:
-            signature = _unit(rng, cfg.feature_dim) * 0.1 * cfg.signature_strength
+            signature = sample_unit_vector(dim, rng)[0] * 0.1 * cfg.signature_strength
         if cfg.size_sigma > 0:
             size = max(
                 1,
@@ -157,7 +151,7 @@ def generate(cfg: SynthConfig) -> Dataset:
         for i in range(size):
             label = int(labels[i])
             n = int(rng.integers(3, 9))
-            x = signature + cfg.noise_sigma * rng.standard_normal((n, cfg.feature_dim))
+            x = signature + cfg.noise_sigma * rng.standard_normal((n, dim))
             x[0] += class_signals[label]
             x[1:] += cfg.reply_content_fraction * class_signals[label]
             instances.append(

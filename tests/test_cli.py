@@ -223,7 +223,7 @@ def test_ablate_pool_matches_serial_loop_and_restores_environment(tmp_path, caps
 
 
 def test_ablate_scores_each_variant_as_eval_does():
-    # `ablate` scores logits itself; `eval` goes through predict and evaluate.
+    # `ablate` scores each variant through predict and evaluate, as `eval` does.
     # Retrained from the same seeds, the four models score the same both ways.
     # At seed 2 the sweep picks beta > 0, so `full` and `beta0` differ.
     seed = 2
@@ -281,12 +281,13 @@ def test_ablate_rejects_what_it_cannot_honour_before_any_seed_runs(
 
 
 def test_ablate_numeric_failure_in_a_worker_exits_4(tmp_path, capsys):
-    rc = main(["ablate", "--out", str(tmp_path / "ab"), "--seeds", "2",
-               "--set", "lr=1e300", *TINY_ABLATE])
+    out = tmp_path / "ab"
+    rc = main(["ablate", "--out", str(out), "--seeds", "2", "--set", "lr=1e300", *TINY_ABLATE])
     assert rc == 4
     assert capsys.readouterr().err.splitlines()[-1] == (
         "error: non-finite validation logits at epoch 0"
     )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("val_fraction, message", [
@@ -328,15 +329,17 @@ def test_diverged_run_prints_only_the_error_line(tmp_path, command):
     assert result.stderr == "error: non-finite validation logits at epoch 0\n"
 
 
-def test_ablate_bad_out_exits_3_before_any_seed_runs(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_ablate_bad_out_exits_3_before_any_seed_runs(tmp_path, capsys, monkeypatch, out):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     taken = tmp_path / "taken"
     taken.write_text("")
-    assert main(["ablate", "--out", str(taken), "--seeds", "2", *TINY_ABLATE]) == 3
+    assert main(["ablate", "--out", str(tmp_path / out), "--seeds", "2", *TINY_ABLATE]) == 3
     assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == ""
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])

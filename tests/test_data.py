@@ -186,6 +186,7 @@ class TestIO:
         ("event", ["a"]),
         ("id", 7),
         ("feature_dim", True),
+        ("classes", ["a"]),
         ("classes", ["a", "a"]),
         ("classes", ["a", 1]),
         ("classes", ["a\u0001", "b"]),

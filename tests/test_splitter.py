@@ -171,12 +171,19 @@ def test_manifest_roundtrip(tmp_path):
     assert loaded == manifest
 
 
-def test_manifest_load_without_dataset_leaves_events_empty(tmp_path):
+def test_manifest_load_rebuilds_events_so_a_straddling_event_is_caught(tmp_path):
     ds = dataset_from_sizes([6, 5, 9])
+    manifest = event_separated_split(ds, SplitRatios(), seed=0)
+    # Move one test instance to train: its event is then on both sides.
+    moved = manifest.test_ids.pop()
+    manifest.train_ids.append(moved)
     path = tmp_path / "split.json"
-    save_manifest(event_separated_split(ds, SplitRatios(), seed=0), path)
-    loaded = load_manifest(path)
-    assert loaded.train_events == set()
+    save_manifest(manifest, path)
+    loaded = load_manifest(path, ds)
+    loaded.assert_valid(ds, event_separated=False)
+    event = next(i.event for i in ds.instances if i.id == moved)
+    with pytest.raises(SplitError, match=re.escape(f"boundary: ['{event}']")):
+        loaded.assert_valid(ds, event_separated=True)
 
 
 def test_manifest_load_rejects_an_id_the_dataset_lacks(tmp_path):
@@ -201,10 +208,11 @@ def test_mixed_validation_count_is_the_ceiling_the_old_loop_reached(val_fraction
 
 
 def test_manifest_missing_field(tmp_path):
+    ds = dataset_from_sizes([3, 3, 3])
     path = tmp_path / "bad.json"
     path.write_text('{"seed": 0, "train": [], "val": []}')
     with pytest.raises(SplitError, match="missing"):
-        load_manifest(path)
+        load_manifest(path, ds)
 
 
 def test_manifest_unknown_id(tmp_path):
