@@ -47,16 +47,14 @@ class TrainingError(RuntimeError):
 
 
 def as_matrix(data) -> np.ndarray:
-    """Coerce scalars / vectors / nested lists to a 2-D float64 array.
+    """Coerce vectors / nested lists to a 2-D float64 array.
 
     1-D input becomes a single row.  Existing conforming arrays are passed
     through without copying, so parameter updates stay visible to any Node
     wrapping them.
     """
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
+    if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     elif arr.ndim != 2:
         raise ShapeError(f"matrices are 2-D, got shape {arr.shape}")
@@ -66,8 +64,8 @@ def as_matrix(data) -> np.ndarray:
 class Node:
     """One value in a computation graph plus space for its gradient.
 
-    ``parents`` and ``_rule`` encode the local backward rule; leaves have
-    neither.  ``is_param`` marks leaves whose gradients the optimizer reads.
+    ``parents`` and ``_rule`` (set by each op) encode the local backward rule;
+    leaves have neither.  ``is_param`` marks leaves whose gradients the optimizer reads.
     Only parameters and the nodes they reach carry a gradient; for the rest
     (constants and ops on constants only) ``grad`` is None, backward rules
     skip them, and they are left out of ``parents``.
@@ -75,16 +73,12 @@ class Node:
 
     __slots__ = ("value", "grad", "parents", "_rule", "is_param")
 
-    def __init__(self, value, parents=(), rule=None, is_param=False):
+    def __init__(self, value, parents=(), is_param=False):
         self.value = as_matrix(value)
         self.parents = tuple(p for p in parents if p.grad is not None)
         self.grad = np.zeros_like(self.value) if is_param or self.parents else None
-        self._rule = rule
+        self._rule = None
         self.is_param = is_param
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def __repr__(self):  # pragma: no cover - debugging aid
         kind = "param" if self.is_param else ("leaf" if self._rule is None else "op")

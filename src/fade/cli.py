@@ -38,8 +38,6 @@ from .inference import (
 )
 from .predictors import (
     CheckpointError,
-    EventOnlyPredictorParams,
-    TargetPredictorParams,
     load_checkpoint,
     save_checkpoint,
     train_event_only,
@@ -118,30 +116,19 @@ def _build_config(args, unread=((), ""), **flags) -> RunConfig:
     return cfg
 
 
-def _load_inputs(data_path, split_path, require_manifest=True):
-    """Dataset plus manifest, with coverage checked against the dataset."""
+def _load_inputs(data_path, split_path):
+    """The dataset, then the manifest if ``split_path`` is given (else None)."""
     ds = load_dataset(data_path)
-    manifest = None
-    if split_path is not None:
-        manifest = load_manifest(split_path, ds)
-        # Coverage/disjointness only: mixed manifests are legal inputs here,
-        # so event separation is not asserted at this layer.
-        try:
-            manifest.assert_valid(ds, event_separated=False)
-        except SplitError as e:
-            raise SplitError(f"manifest {split_path}: {e}") from None
-    elif require_manifest:
-        raise ConfigError("a split manifest is required (--split)")
-    return ds, manifest
+    return ds, None if split_path is None else load_manifest(split_path, ds)
 
 
 def _load_run(run_dir, ds, data_path):
     """Load the two checkpoints a training run leaves behind, made for ``ds``'s shape."""
     loaded = []
-    for name, cls in (("target", TargetPredictorParams), ("event_only", EventOnlyPredictorParams)):
+    for name in ("target", "event_only"):
         path = Path(run_dir) / f"{name}.ckpt"
         params = load_checkpoint(path)
-        if not isinstance(params, cls):
+        if params.kind != name:
             raise CheckpointError(f"{path} does not hold {name} predictor weights")
         shape = (params.encoder.feature_dim, params.classifier.w.shape[1])
         if shape != (ds.feature_dim, ds.n_classes):
@@ -153,9 +140,9 @@ def _load_run(run_dir, ds, data_path):
     return loaded
 
 
-def _predict_run(args, cfg: RunConfig, require_manifest: bool = True):
+def _predict_run(args, cfg: RunConfig):
     """``(ds, instances, beta, beta_source, predictions)`` on the test split, else all of ds."""
-    ds, manifest = _load_inputs(args.data, args.split, require_manifest)
+    ds, manifest = _load_inputs(args.data, args.split)
     target, event_only = _load_run(args.run, ds, args.data)
     if manifest is not None:
         by_id = ds.by_id()
@@ -291,7 +278,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _build_config(args, unread=FROM_MANIFEST, beta=args.beta)
-    ds, insts, beta, source, predictions = _predict_run(args, cfg, require_manifest=False)
+    ds, insts, beta, source, predictions = _predict_run(args, cfg)
     rows = [
         {"id": inst.id, "event": inst.event, "prediction": ds.class_names[int(p)]}
         for inst, p in zip(insts, predictions)

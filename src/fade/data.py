@@ -47,7 +47,6 @@ class DatasetError(Exception):
 class DatasetParseError(DatasetError):
     def __init__(self, path, line_no: int, message: str):
         super().__init__(f"{path}: line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class DatasetValidationError(DatasetError):

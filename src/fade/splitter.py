@@ -171,7 +171,9 @@ def load_manifest(path, ds: Dataset) -> SplitManifest:
     """Read a manifest of ``ds``'s ids, rebuilding each side's event set from ``ds``.
 
     The file must hold a JSON object with lists of string ids under
-    ``train``, ``val`` and ``test`` and an integer ``seed``.
+    ``train``, ``val`` and ``test`` and an integer ``seed``, and list each of
+    ``ds``'s ids exactly once.  Event separation is not checked: a mixed
+    manifest is a legal input.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -190,6 +192,10 @@ def load_manifest(path, ds: Dataset) -> SplitManifest:
     if not isinstance(payload["seed"], int) or isinstance(payload["seed"], bool):
         raise SplitError(f"manifest {path}: field 'seed' must be an integer")
     try:
-        return _manifest(ds, payload["train"], payload["val"], payload["test"], payload["seed"])
+        manifest = _manifest(ds, payload["train"], payload["val"], payload["test"], payload["seed"])
+        manifest.assert_valid(ds, event_separated=False)
     except KeyError as e:
         raise SplitError(f"manifest {path}: unknown instance id {e}") from None
+    except SplitError as e:
+        raise SplitError(f"manifest {path}: {e}") from None
+    return manifest

@@ -55,6 +55,16 @@ def test_gen_synth_output_loads_and_matches_config(workspace):
     assert len(ds.instances) == 12 * 6
 
 
+def test_gen_synth_report_describes_the_dataset_it_wrote(tmp_path, capsys):
+    out = tmp_path / "d.jsonl"
+    assert main(["gen-synth", "--seed", "5", "--out", str(out), "--report", *FAST]) == 0
+    wrote, report = capsys.readouterr().out.split("\n", 1)
+    assert wrote.startswith("wrote ")
+    payload = json.loads(report)
+    ds = load_dataset(out)
+    assert (payload["n_events"], payload["n_instances"]) == (len(ds.events()), len(ds.instances))
+
+
 def test_gen_synth_preset_flag_with_explicit_override(tmp_path, capsys):
     out = tmp_path / "p.jsonl"
     rc = main(["gen-synth", "--preset", "t15-like", "--bias", "0.9",
@@ -150,6 +160,18 @@ def test_predict_json_without_split_covers_dataset(workspace, tmp_path, capsys):
     assert len(payload["predictions"]) == len(ds.instances)
     names = set(ds.class_names)
     assert all(row["prediction"] in names for row in payload["predictions"])
+
+
+def test_predict_on_an_empty_test_split_exits_3(workspace, tmp_path, capsys):
+    payload = json.loads(Path(workspace["manifest"]).read_text(encoding="utf-8"))
+    payload["train"] += payload["test"]
+    payload["test"] = []
+    manifest = tmp_path / "no_test.json"
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["predict", "--data", workspace["data"], "--split", str(manifest),
+               "--run", workspace["run"], "--beta", "0"])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: nothing to predict: the selected split is empty\n"
 
 
 def test_predict_without_beta_or_split_is_a_config_error(workspace, capsys):
@@ -531,6 +553,20 @@ def test_corrupt_checkpoint_exits_3(workspace, tmp_path, capsys):
                    "--run", str(bad), "--beta", "0"])
         assert rc == 3, n
         assert str(bad / "target.ckpt") in capsys.readouterr().err
+
+
+def test_run_with_swapped_checkpoints_exits_3_naming_the_file(workspace, tmp_path, capsys):
+    swapped = tmp_path / "swapped"
+    swapped.mkdir()
+    run = Path(workspace["run"])
+    (swapped / "target.ckpt").write_bytes((run / "event_only.ckpt").read_bytes())
+    (swapped / "event_only.ckpt").write_bytes((run / "target.ckpt").read_bytes())
+    rc = main(["eval", "--data", workspace["data"], "--split", workspace["manifest"],
+               "--run", str(swapped), "--beta", "0"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: {swapped / 'target.ckpt'} does not hold target predictor weights\n"
+    )
 
 
 @pytest.mark.parametrize("text, field", [

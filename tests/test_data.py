@@ -1,9 +1,11 @@
 import json
+import math
 import zlib
 
 import numpy as np
 import pytest
 
+from fade.cli import main
 from fade.data import (
     Dataset,
     DatasetError,
@@ -186,6 +188,7 @@ class TestIO:
         ("event", ["a"]),
         ("id", 7),
         ("feature_dim", True),
+        ("feature_dim", 0),
         ("classes", ["a"]),
         ("classes", ["a", "a"]),
         ("classes", ["a", 1]),
@@ -214,6 +217,25 @@ class TestIO:
         path.write_text(json.dumps(header) + "\n" + json.dumps(rec) + "\n")
         with pytest.raises(DatasetParseError, match=f"bad.jsonl: line {line}: {field} must be"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("header, rec, message", [
+        (["N", "F"], {}, "line 1: header must be a JSON object"),
+        (None, [1], "line 2: instance line must be a JSON object"),
+        (None, {"x": []}, "line 2: x must be a 2-D array"),
+        (None, {"x": [[math.nan, 0.5], [0.5, 0.5]]}, "instance 'q': non-finite feature value"),
+        (None, {"n": 0}, "instance 'q': graph must have at least one node"),
+    ], ids=["header-list", "instance-list", "x-empty", "x-nan", "n-zero"])
+    def test_rejected_file_exits_3_naming_it(self, tmp_path, capsys, header, rec, message):
+        # A well-formed header and two-node instance, with one part replaced.
+        if header is None:
+            header = {"classes": ["N", "F"], "feature_dim": 2}
+        if isinstance(rec, dict):
+            rec = {"id": "q", "event": "e", "label": 0, "n": 2, "edges": [[0, 1]],
+                   "x": [[0.5, 0.5], [0.5, 0.5]], **rec}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(rec) + "\n")
+        assert main(["split", "--data", str(path), "--out", str(tmp_path / "m.json")]) == 3
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_missing_header_field(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -307,7 +329,7 @@ class TestIO:
             load, error = load_dataset, DatasetError
         else:
             save_manifest(SplitManifest(["n0", "n1", "n4", "n5"], ["n2", "n6"], ["n3", "n7"]), path)
-            load, error = lambda p: load_manifest(p, ds).assert_valid(ds, False), SplitError
+            load, error = lambda p: load_manifest(p, ds), SplitError
         blob = path.read_bytes()
         cases = [(blob[:end], False) for end in range(len(blob))]
         for offset in range(len(blob)):

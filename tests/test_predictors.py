@@ -676,6 +676,31 @@ def test_checkpoint_with_add_pooling_is_rejected(tmp_path):
     )
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("kind", "unknown kind 'bogus'"),
+    ("1-D bias", "classifier.bias is not a 2-D float64 array"),
+    ("extra tensor", "unexpected tensors ['extra.w']"),
+    ("no layers", "encoder needs at least one layer"),
+])
+def test_checkpoint_with_a_bad_member_is_rejected_naming_the_file(tmp_path, fault, message):
+    target, _ = trained_pair(tmp_path)
+    members = {"kind": "target", "pooling": "mean", **target.named_tensors()}
+    if fault == "kind":
+        members["kind"] = "bogus"
+    elif fault == "1-D bias":
+        members["classifier.bias"] = members["classifier.bias"][0]
+    elif fault == "extra tensor":
+        members["extra.w"] = np.zeros((2, 2))
+    else:
+        members = {k: v for k, v in members.items() if not k.startswith("encoder.layer.")}
+    path = tmp_path / "bad.ckpt"
+    with path.open("wb") as fh:
+        np.savez(fh, **members)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"corrupt checkpoint {path}: {message}"
+
+
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "nope.ckpt")

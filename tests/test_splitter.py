@@ -196,6 +196,24 @@ def test_manifest_load_rejects_an_id_the_dataset_lacks(tmp_path):
         load_manifest(path, ds)
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("omits", "manifest does not cover the dataset exactly"),
+    ("twice", "manifest assigns some instance twice"),
+])
+def test_manifest_load_checks_coverage_naming_the_file(tmp_path, fault, message):
+    ds = dataset_from_sizes([6, 5, 9])
+    manifest = event_separated_split(ds, SplitRatios(), seed=0)
+    if fault == "omits":
+        manifest.test_ids.pop()
+    else:
+        manifest.test_ids.append(manifest.train_ids[0])
+    path = tmp_path / "split.json"
+    save_manifest(manifest, path)
+    with pytest.raises(SplitError) as exc:
+        load_manifest(path, ds)
+    assert str(exc.value) == f"manifest {path}: {message}"
+
+
 @pytest.mark.parametrize("val_fraction", [0, 0.05, 0.1, 0.15, 0.3, 0.7, 0.99])
 def test_mixed_validation_count_is_the_ceiling_the_old_loop_reached(val_fraction):
     for total in range(3, 201):
