@@ -122,7 +122,7 @@ def _bucket_product(buckets, a: np.ndarray) -> np.ndarray:
     """Sparse product N @ a for N given as degree buckets.
 
     Each bucket ``(rows (R,), cols (R, k), weights (R, 1, k))`` holds the R
-    rows of N with k entries each (see ``data.degree_buckets``); a row no
+    rows of N with k entries each (see ``encoder._degree_buckets``); a row no
     bucket names is zero.
     """
     out = np.zeros_like(a)
@@ -143,13 +143,13 @@ def gcn_layer(buckets, h: Node, w: Node) -> Node:
 
     N is symmetric and given as degree buckets (see ``_bucket_product``), so
     the gradient reaching h is N @ (g @ w.T) for the masked output gradient
-    g.  With ``buckets=None``, h already holds N @ x and is used as is.
+    g.
     """
     if h.value.shape[1] != w.value.shape[0]:
         raise ShapeError(
             f"gcn_layer: inner dimensions differ, {h.value.shape} vs {w.value.shape}"
         )
-    p = h.value if buckets is None else _bucket_product(buckets, h.value)
+    p = _bucket_product(buckets, h.value)
     z = p @ w.value
     mask = z > 0  # gradient at exactly 0 is 0
     out = Node(_positive_part(z), (h, w))
@@ -159,8 +159,7 @@ def gcn_layer(buckets, h: Node, w: Node) -> Node:
         if w.grad is not None:
             w.grad += p.T @ gm
         if h.grad is not None:
-            gh = gm @ w.value.T
-            h.grad += gh if buckets is None else _bucket_product(buckets, gh)
+            h.grad += _bucket_product(buckets, gm @ w.value.T)
 
     out._rule = rule
     return out

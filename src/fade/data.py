@@ -21,8 +21,6 @@ from itertools import chain
 
 import numpy as np
 
-from .autodiff import _bucket_product, as_matrix
-
 __all__ = [
     "DatasetError",
     "DatasetParseError",
@@ -33,7 +31,6 @@ __all__ = [
     "event_groups",
     "normalized_adjacency",
     "adjacency_entries",
-    "degree_buckets",
     "load_dataset",
     "save_dataset",
     "atomic_write",
@@ -73,14 +70,6 @@ class PropagationGraph:
         loading does not build it.
         """
         return adjacency_entries(self)
-
-    @cached_property
-    def propagated_x(self) -> np.ndarray:
-        """N @ x for this graph's normalized adjacency N, built on first use and kept.
-
-        It is the encoder's first-layer input, which no parameter reaches.
-        """
-        return _bucket_product(degree_buckets(*self.entries), as_matrix(self.x))
 
     def validate(self, instance_id: str = "?") -> None:
         if self.n < 1:
@@ -204,23 +193,6 @@ def adjacency_entries(g: PropagationGraph) -> tuple[np.ndarray, np.ndarray, np.n
     for arr in (rows, cols, weights):
         arr.flags.writeable = False
     return rows, cols, weights
-
-
-def degree_buckets(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> list[tuple]:
-    """Group row-major sparse entries into buckets for ``autodiff.gcn_layer``.
-
-    ``rows`` must be sorted and cover every row from 0 to its maximum.  Rows
-    with the same entry count k form one bucket ``(rows (R,), cols (R, k),
-    weights (R, 1, k))``, so a bucket's product is one stacked matmul.
-    """
-    counts = np.bincount(rows)
-    starts = np.cumsum(counts) - counts
-    buckets = []
-    for k in np.unique(counts):
-        members = np.flatnonzero(counts == k)
-        pos = starts[members][:, None] + np.arange(k)
-        buckets.append((members, cols[pos], weights[pos][:, None, :]))
-    return buckets
 
 
 # What the JSON value of each field must be.  Types are compared exactly: JSON

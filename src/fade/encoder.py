@@ -6,10 +6,8 @@ adjacency (self-connections included), as one autodiff node
 into a single row vector per graph (``autodiff.segment_pool``).  N is never
 formed densely: a batch stacks its graphs' sparse entries and multiplies by
 them one degree bucket at a time, so time and memory grow with the edges,
-not with the square of the nodes.
-The first layer's N @ X is constant data and is cached per graph.  The same
-architecture backs both the target and the event-only predictor, with
-independent weights.
+not with the square of the nodes.  The same architecture backs both the
+target and the event-only predictor, with independent weights.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, ShapeError, const, gcn_layer, segment_pool
-from .data import PropagationGraph, degree_buckets
+from .data import PropagationGraph
 
 __all__ = [
     "EncoderParams",
@@ -77,9 +75,26 @@ def init_encoder(
     return params
 
 
+def _degree_buckets(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> list[tuple]:
+    """Group row-major sparse entries into buckets for ``autodiff.gcn_layer``.
+
+    ``rows`` must be sorted and cover every row from 0 to its maximum.  Rows
+    with the same entry count k form one bucket ``(rows (R,), cols (R, k),
+    weights (R, 1, k))``, so a bucket's product is one stacked matmul.
+    """
+    counts = np.bincount(rows)
+    starts = np.cumsum(counts) - counts
+    buckets = []
+    for k in np.unique(counts):
+        members = np.flatnonzero(counts == k)
+        pos = starts[members][:, None] + np.arange(k)
+        buckets.append((members, cols[pos], weights[pos][:, None, :]))
+    return buckets
+
+
 def _batch_parts(graphs: list[PropagationGraph]) -> tuple[list[tuple], np.ndarray, list[int]]:
     """Degree buckets of the block-diagonal normalized adjacency, the stacked
-    first-layer input N @ X, and the graph sizes.
+    node features X, and the graph sizes.
 
     Built from each graph's cached sparse entries, so the batch costs memory
     linear in its edges; no (sum N)^2 matrix is formed.
@@ -88,8 +103,8 @@ def _batch_parts(graphs: list[PropagationGraph]) -> tuple[list[tuple], np.ndarra
     entries = [g.entries for g in graphs]
     offsets = np.repeat(np.cumsum([0] + sizes[:-1]), [len(e[0]) for e in entries])
     rows, cols, weights = (np.concatenate(part) for part in zip(*entries))
-    buckets = degree_buckets(rows + offsets, cols + offsets, weights)
-    return buckets, np.vstack([g.propagated_x for g in graphs]), sizes
+    buckets = _degree_buckets(rows + offsets, cols + offsets, weights)
+    return buckets, np.vstack([g.x for g in graphs]), sizes
 
 
 def encode_batch_node(
@@ -98,9 +113,9 @@ def encode_batch_node(
     """Differentiable batched forward pass; row i is graph i's representation."""
     if pooling not in POOLINGS:
         raise ValueError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
-    buckets, nx, sizes = _batch_parts(graphs)
-    h = gcn_layer(None, const(nx), layer_nodes[0])
-    for w in layer_nodes[1:]:
+    buckets, x, sizes = _batch_parts(graphs)
+    h = const(x)
+    for w in layer_nodes:
         h = gcn_layer(buckets, h, w)
     return segment_pool(h, sizes)
 

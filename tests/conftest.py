@@ -16,8 +16,7 @@ def _propagate(buckets, a):
 
 def _three_node_layer(buckets, h, w):
     """relu(matmul(propagate(...))): the three-node chain ``ad.gcn_layer`` fuses."""
-    p = h if buckets is None else _propagate(buckets, h)
-    return ad.relu(ad.matmul(p, w))
+    return ad.relu(ad.matmul(_propagate(buckets, h), w))
 
 
 @pytest.fixture

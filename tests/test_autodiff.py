@@ -27,6 +27,11 @@ def rel_err(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-12)
 
 
+def test_as_matrix_rejects_more_than_two_dimensions():
+    with pytest.raises(ad.ShapeError, match="matrices are 2-D"):
+        ad.as_matrix(np.zeros((2, 2, 2)))
+
+
 class TestMatmul:
     def test_identity(self):
         out = ad.matmul(ad.const([[1.0, 0.0], [0.0, 1.0]]), ad.const([[3.0], [4.0]]))
@@ -125,13 +130,13 @@ class TestGcnLayer:
     def test_bitwise_equal_to_three_node_chain(self, seed, three_node_layer):
         rng = np.random.default_rng(seed)
         graphs = messy_graphs(rng, [1, 2, 3, 1] + [int(v) for v in rng.integers(4, 25, size=8)])
-        buckets, nx, _ = _batch_parts(graphs)
+        buckets, x, _ = _batch_parts(graphs)
         w_vals = [rng.normal(size=(2, 6)), rng.normal(size=(6, 6)), rng.normal(size=(6, 6))]
-        c_val = rng.normal(size=(nx.shape[0], 6))
+        c_val = rng.normal(size=(x.shape[0], 6))
         results = []
         for layer in (ad.gcn_layer, three_node_layer):
             ws = [ad.param(v.copy()) for v in w_vals]
-            h = layer(None, ad.const(nx), ws[0])
+            h = layer(buckets, ad.const(x), ws[0])
             hidden = layer(buckets, h, ws[1])
             out = layer(buckets, hidden, ws[2])
             ad.backward(ad.sum_all(ad.hadamard(out, ad.const(c_val))))
@@ -144,16 +149,16 @@ class TestGcnLayer:
             assert np.any(g != 0)
 
     def test_constant_input_gets_no_gradient(self):
+        identity = [(np.arange(2), np.arange(2)[:, None], np.ones((2, 1, 1)))]
         h = ad.const(np.ones((2, 2)))
         w = ad.param(np.eye(2))
-        ad.backward(ad.sum_all(ad.gcn_layer(None, h, w)))
+        ad.backward(ad.sum_all(ad.gcn_layer(identity, h, w)))
         assert h.grad is None
         assert np.array_equal(w.grad, [[2.0, 2.0], [2.0, 2.0]])
 
-    @pytest.mark.parametrize("buckets", [None, []])
-    def test_inner_dimension_mismatch_raises(self, buckets):
+    def test_inner_dimension_mismatch_raises(self):
         with pytest.raises(ad.ShapeError, match=r"\(3, 2\).*\(3, 4\)"):
-            ad.gcn_layer(buckets, ad.const(np.zeros((3, 2))), ad.const(np.zeros((3, 4))))
+            ad.gcn_layer([], ad.const(np.zeros((3, 2))), ad.const(np.zeros((3, 4))))
 
 
 def pool_matrix(sizes):
@@ -417,6 +422,12 @@ class TestAdam:
         state = ad.adam_init([p])
         with pytest.raises(ad.ShapeError):
             ad.adam_step([p], [np.ones((2, 2))], state, lr=0.1)
+
+    def test_missing_state_slot_rejected(self):
+        p, q = np.array([[1.0]]), np.array([[2.0]])
+        state = ad.adam_init([p])
+        with pytest.raises(ad.ShapeError, match="2 params, 2 grads, 1 state slots"):
+            ad.adam_step([p, q], [np.zeros((1, 1)), np.zeros((1, 1))], state, lr=0.1)
 
     def test_deterministic(self):
         def run():

@@ -99,8 +99,14 @@ class TestBatched:
         graphs = [random_tree(rng, int(rng.integers(1, 7)), 4) for _ in range(9)]
         params = init_encoder(4, 8, 2, rng)
         batched = encode_all(params, graphs, chunk=4)
+        assert np.array_equal(batched, encode_all(params, graphs))
         singles = np.vstack([encode_all(params, [g]) for g in graphs])
-        assert np.max(np.abs(batched - singles)) < 1e-10
+        many = np.array([g.n > 1 for g in graphs])
+        assert np.array_equal(batched[many], singles[many])
+        # A lone 1-node graph is a one-row batch, whose products numpy hands
+        # to BLAS gemv rather than gemm, so its row may differ in the last bit.
+        assert not many.all()
+        assert np.allclose(batched[~many], singles[~many], rtol=0, atol=1e-14)
 
     def test_empty_batch(self):
         params = init_encoder(4, 8, 2, np.random.default_rng(0))

@@ -472,12 +472,14 @@ def test_train_target_rejects_negative_alpha():
     ({"proj_dim": 0}, {}, "hidden_dim, n_layers, and proj_dim"),
     ({"pooling": "max"}, {}, "pooling"),
     ({}, {"num_candidates": 0}, "num_candidates"),
+    ({}, {"epochs": 0}, "epochs and batch_size"),
+    ({}, {"batch_size": 0}, "epochs and batch_size"),
 ])
 def test_train_target_rejects_bad_arch_and_hyperparams(arch, hyper, message):
     ds = make_dataset(seed=1)
     train, val = split_ids(ds, 3)
     with pytest.raises(ValueError, match=message):
-        train_target(ds, train, val, Hyperparams(epochs=1, **hyper), seed=0,
+        train_target(ds, train, val, Hyperparams(**{"epochs": 1, **hyper}), seed=0,
                      arch=ArchConfig(**arch))
 
 
@@ -512,6 +514,17 @@ def test_diverged_run_raises_on_non_finite_validation_logits(trainer):
     train, val = split_ids(ds, 3)
     hp = Hyperparams(epochs=3, batch_size=64, lr=1e300)  # one batch per epoch
     with np.errstate(all="ignore"), pytest.raises(TrainingError, match="logits at epoch 0$"):
+        trainer(ds, train, val, hp, seed=0, arch=SMALL)
+
+
+@pytest.mark.parametrize("trainer", [train_target, train_event_only])
+def test_diverged_run_raises_on_non_finite_loss(trainer):
+    ds = make_dataset(seed=1)
+    train, val = split_ids(ds, 3)
+    hp = Hyperparams(epochs=2, batch_size=8, lr=1e300)  # batch 0's step diverges
+    with np.errstate(all="ignore"), pytest.raises(
+        TrainingError, match="^non-finite loss at epoch 0 batch 1$"
+    ):
         trainer(ds, train, val, hp, seed=0, arch=SMALL)
 
 

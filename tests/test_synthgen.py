@@ -182,6 +182,11 @@ def test_unknown_preset():
         ("depth_profile", "spiral"),
         ("noise_sigma", -1.0),
         ("size_sigma", -0.5),
+        ("signature_strength", -1.0),
+        ("class_signal_strength", -1.0),
+        ("bias_reliability", 1.5),
+        ("signature_diversity", -0.1),
+        ("reply_content_fraction", 1.5),
     ],
 )
 def test_config_validation(field, value):
