@@ -65,29 +65,26 @@ class Node:
     """One value in a computation graph plus space for its gradient.
 
     ``parents`` and ``_rule`` (set by each op) encode the local backward rule;
-    leaves have neither.  ``is_param`` marks leaves whose gradients the optimizer reads.
-    Only parameters and the nodes they reach carry a gradient; for the rest
-    (constants and ops on constants only) ``grad`` is None, backward rules
-    skip them, and they are left out of ``parents``.
+    leaves have neither.  Only parameters and the nodes they reach carry a
+    gradient, so a parameter is exactly a leaf whose ``grad`` is set; for the
+    rest (constants and ops on constants only) ``grad`` is None, backward
+    rules skip them, and they are left out of ``parents``.
     """
 
-    __slots__ = ("value", "grad", "parents", "_rule", "is_param")
+    __slots__ = ("value", "grad", "parents", "_rule")
 
-    def __init__(self, value, parents=(), is_param=False):
+    def __init__(self, value, parents=()):
         self.value = as_matrix(value)
         self.parents = tuple(p for p in parents if p.grad is not None)
-        self.grad = np.zeros_like(self.value) if is_param or self.parents else None
+        self.grad = np.zeros_like(self.value) if self.parents else None
         self._rule = None
-        self.is_param = is_param
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        kind = "param" if self.is_param else ("leaf" if self._rule is None else "op")
-        return f"Node({kind}, shape={self.value.shape})"
 
 
 def param(value) -> Node:
     """Leaf node whose gradient the optimizer will consume."""
-    return Node(value, is_param=True)
+    node = Node(value)
+    node.grad = np.zeros_like(node.value)
+    return node
 
 
 def const(value) -> Node:
@@ -336,7 +333,7 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
     for node in reversed(order):
         if node._rule is not None:
             node._rule(node.grad)
-    return {node: node.grad for node in order if node.is_param}
+    return {node: node.grad for node in order if not node.parents}
 
 
 @dataclass

@@ -233,6 +233,8 @@ def cmd_train(args) -> int:
     with _spawn_pool(1) as pool:
         future = pool.submit(_train_event_only_run, args.data, args.split, hyper, args.seed, arch)
         ds, manifest = _load_inputs(args.data, args.split)
+        if not manifest.train_ids:
+            raise DatasetError(f"manifest {args.split}: the train split is empty")
         target, target_log = train_target(
             ds, manifest.train_ids, manifest.val_ids, hyper, seed=args.seed, arch=arch
         )

@@ -20,7 +20,7 @@ from dataclasses import fields, replace
 from .inference import DebiasConfig
 from .predictors import ArchConfig, Hyperparams
 from .splitter import SplitError, SplitRatios
-from .synthgen import PRESETS, SynthConfig, preset as synth_preset
+from .synthgen import PRESETS, SynthConfig
 
 __all__ = ["ConfigError", "RunConfig", "KNOWN_KEYS", "parse_config", "load_config"]
 
@@ -132,7 +132,7 @@ class RunConfig:
         if name:
             if name not in PRESETS:
                 raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-            base = synth_preset(name)
+            base = PRESETS[name]
         else:
             base = SynthConfig()
         # Only keys set explicitly override the preset.

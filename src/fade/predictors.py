@@ -355,12 +355,10 @@ def train_target(
         loss_ce = ce_loss(logits, [train[i].label for i in idx])
         if hyper.alpha == 0:
             return loss_ce, float(loss_ce.value[0, 0]), 0.0
-        offsets = np.zeros_like(r_original.value)
-        for row, i in enumerate(idx):
-            aug = augment(r_original.value[row], ctx, params.classifier.apply, train[i].label,
-                          sample_id=train[i].id, epoch=epoch)
-            offsets[row] = aug - r_original.value[row]
-        r_augmented = ad.add(r_original, ad.const(offsets))
+        augmented = np.vstack([augment(r, ctx, params.classifier.apply, train[i].label,
+                                       sample_id=train[i].id, epoch=epoch)
+                               for r, i in zip(r_original.value, idx)])
+        r_augmented = ad.add(r_original, ad.const(augmented - r_original.value))
         loss_cl = contrastive_loss(_projection_node(r_original, nodes),
                                    _projection_node(r_augmented, nodes))
         loss = ad.add(loss_ce, ad.scale(loss_cl, hyper.alpha))

@@ -27,8 +27,6 @@ from .data import Dataset, NewsInstance, PropagationGraph, event_groups
 
 __all__ = ["SynthConfig", "PRESETS", "preset", "generate", "bias_report"]
 
-DEPTH_PROFILES = ("flat", "deep", "mixed")
-
 
 @dataclass
 class SynthConfig:
@@ -37,7 +35,6 @@ class SynthConfig:
     n_classes: int = 2
     feature_dim: int = 16
     bias_strength: float = 0.5  # probability an event is a pure shortcut
-    depth_profile: str = "mixed"
     noise_sigma: float = 1.0
     seed: int = 0
     size_sigma: float = 0.0  # log-normal spread of event sizes; 0 = exact
@@ -56,10 +53,6 @@ class SynthConfig:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if not 0.0 <= self.bias_strength <= 1.0:
             raise ValueError(f"bias_strength must be in [0, 1], got {self.bias_strength}")
-        if self.depth_profile not in DEPTH_PROFILES:
-            raise ValueError(
-                f"depth_profile must be one of {DEPTH_PROFILES}, got {self.depth_profile!r}"
-            )
         if self.noise_sigma < 0 or self.size_sigma < 0:
             raise ValueError("noise_sigma and size_sigma must be >= 0")
         if self.signature_strength < 0 or self.class_signal_strength < 0:
@@ -81,7 +74,6 @@ PRESETS: dict[str, SynthConfig] = {
         n_classes=4,
         feature_dim=32,
         bias_strength=0.8,
-        depth_profile="mixed",
         noise_sigma=1.0,
         size_sigma=0.8,
         signature_strength=8.0,
@@ -99,12 +91,11 @@ def preset(name: str, **overrides) -> SynthConfig:
     return replace(PRESETS[name], **overrides)
 
 
-def _tree_edges(n: int, profile: str, rng: np.random.Generator) -> list[list[int]]:
-    if profile == "mixed":
-        profile = ("flat", "deep", "random")[rng.integers(3)]
-    if profile == "flat":
+def _tree_edges(n: int, rng: np.random.Generator) -> list[list[int]]:
+    shape = rng.integers(3)
+    if shape == 0:
         return [[0, j] for j in range(1, n)]
-    if profile == "deep":
+    if shape == 1:
         return [[j - 1, j] for j in range(1, n)]
     return [[int(rng.integers(0, j)), j] for j in range(1, n)]
 
@@ -157,9 +148,7 @@ def generate(cfg: SynthConfig) -> Dataset:
             instances.append(
                 NewsInstance(
                     id=f"ev{e:03d}-{i:03d}",
-                    graph=PropagationGraph(
-                        n=n, x=x, edges=_tree_edges(n, cfg.depth_profile, rng)
-                    ),
+                    graph=PropagationGraph(n=n, x=x, edges=_tree_edges(n, rng)),
                     label=label,
                     event=event,
                 )

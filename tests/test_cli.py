@@ -174,6 +174,19 @@ def test_predict_on_an_empty_test_split_exits_3(workspace, tmp_path, capsys):
     assert capsys.readouterr().err == "error: nothing to predict: the selected split is empty\n"
 
 
+def test_train_on_an_empty_train_split_exits_3_naming_the_manifest(workspace, tmp_path, capsys):
+    payload = json.loads(Path(workspace["manifest"]).read_text(encoding="utf-8"))
+    payload["test"] += payload["train"]
+    payload["train"] = []
+    manifest = tmp_path / "no_train.json"
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["train", "--data", workspace["data"], "--split", str(manifest),
+               "--out", str(tmp_path / "run"), *FAST])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: manifest {manifest}: the train split is empty\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_predict_without_beta_or_split_is_a_config_error(workspace, capsys):
     rc = main(["predict", "--data", workspace["data"], "--run", workspace["run"]])
     assert rc == 2

@@ -315,6 +315,12 @@ def test_sweep_beta_empty_grid(trained):
         sweep_beta(target, event_only, test_insts, grid=[])
 
 
+def test_sweep_beta_empty_validation_set(trained):
+    _, target, event_only, _ = trained
+    with pytest.raises(ValueError, match="empty validation set"):
+        sweep_beta(target, event_only, [])
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 

@@ -152,6 +152,17 @@ def test_skewed_sizes_hit_ratio_targets_within_tolerance():
         assert abs(train_frac - 0.75) <= 0.10, (seed, train_frac)
 
 
+def test_separated_split_moves_an_event_back_when_train_gets_none():
+    # A train share of 0.01 leaves no event small enough for train, so every
+    # event falls to test and the last one is moved back.
+    ds = dataset_from_sizes([10] * 20)
+    manifest = event_separated_split(ds, SplitRatios(0.1, 0.01, 1.0), seed=0)
+    assert len(manifest.train_events) == 1
+    sides = (manifest.train_ids, manifest.val_ids, manifest.test_ids)
+    assert [len(ids) for ids in sides] == [10, 20, 170]
+    manifest.assert_valid(ds)
+
+
 def test_mixed_split_ratio_is_exact_for_round_counts():
     ds = dataset_from_sizes([10, 10, 10, 10])
     manifest = event_mixed_split(ds, SplitRatios(), seed=3)

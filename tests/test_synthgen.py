@@ -125,29 +125,17 @@ def test_lognormal_sizes_vary():
     assert sizes["min"] < sizes["max"]
 
 
-def test_flat_profile_is_all_star_trees():
-    ds = generate(SynthConfig(n_events=4, instances_per_event=6, depth_profile="flat", seed=0))
-    for inst in ds.instances:
-        assert all(edge[0] == 0 for edge in inst.graph.edges)
-
-
-def test_deep_profile_is_all_chains():
-    ds = generate(SynthConfig(n_events=4, instances_per_event=6, depth_profile="deep", seed=0))
-    for inst in ds.instances:
-        assert inst.graph.edges == [[j - 1, j] for j in range(1, inst.graph.n)]
-
-
-def test_mixed_profile_has_both_shapes():
-    ds = generate(
-        SynthConfig(n_events=10, instances_per_event=10, depth_profile="mixed", seed=0)
-    )
-    stars = chains = 0
+def test_reply_trees_are_stars_chains_and_random_trees():
+    ds = generate(SynthConfig(n_events=10, instances_per_event=10, seed=0))
+    stars = chains = others = 0
     for inst in ds.instances:
         if all(e[0] == 0 for e in inst.graph.edges):
             stars += 1
         elif inst.graph.edges == [[j - 1, j] for j in range(1, inst.graph.n)]:
             chains += 1
-    assert stars > 0 and chains > 0
+        else:
+            others += 1
+    assert stars > 0 and chains > 0 and others > 0
 
 
 def test_generated_dataset_passes_validation():
@@ -179,7 +167,6 @@ def test_unknown_preset():
         ("feature_dim", 0),
         ("bias_strength", 1.5),
         ("bias_strength", -0.1),
-        ("depth_profile", "spiral"),
         ("noise_sigma", -1.0),
         ("size_sigma", -0.5),
         ("signature_strength", -1.0),
