@@ -151,7 +151,9 @@ def _predict_run(args, cfg: RunConfig):
     else:
         insts, val_insts = list(ds.instances), []
     if not insts:
-        raise DatasetError("nothing to predict: the selected split is empty")
+        where = (f"manifest {args.split}: the test split" if manifest is not None
+                 else f"dataset {args.data}")
+        raise DatasetError(f"{where} is empty")
 
     beta = cfg.get("beta")
     if beta is not None:
@@ -202,7 +204,10 @@ def cmd_split(args) -> int:
     ds = load_dataset(args.data)
     mode = cfg.get("split_mode")
     split_fn = event_mixed_split if mode == "mixed" else event_separated_split
-    manifest = split_fn(ds, cfg.split_ratios(), args.seed)
+    try:
+        manifest = split_fn(ds, cfg.split_ratios(), args.seed)
+    except SplitError as e:
+        raise SplitError(f"dataset {args.data}: {e}") from None
     out = _out_path(args.out)
     save_manifest(manifest, out)
     print(

@@ -302,9 +302,13 @@ def atomic_write(path, binary: bool = False):
     the block ends normally the file is flushed to disk and moved over
     ``path`` with ``os.replace``, so a reader sees the old file or the
     complete new one.  When the block raises, the temporary file is removed
-    and ``path`` is left as it was.
+    and ``path`` is left as it was.  An existing ``path`` that is not a regular
+    file (a device, FIFO, socket or directory) raises OSError instead of
+    being replaced; a link is followed for this check.
     """
     path = os.fspath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path}: exists and is not a regular file")
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:

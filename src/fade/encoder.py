@@ -21,7 +21,6 @@ from .data import PropagationGraph
 
 __all__ = [
     "EncoderParams",
-    "init_encoder",
     "encode_all",
     "encode_batch_node",
 ]
@@ -55,24 +54,6 @@ class EncoderParams:
                     f"layer {i} output dim {self.layers[i].shape[1]} != "
                     f"layer {i + 1} input dim {self.layers[i + 1].shape[0]}"
                 )
-
-
-def init_encoder(
-    feature_dim: int,
-    hidden_dim: int,
-    n_layers: int,
-    rng: np.random.Generator,
-    pooling: str = "mean",
-) -> EncoderParams:
-    """He-initialized weights, deterministic for a given generator state."""
-    dims = [feature_dim] + [hidden_dim] * n_layers
-    layers = [
-        rng.normal(0.0, np.sqrt(2.0 / dims[i]), size=(dims[i], dims[i + 1]))
-        for i in range(n_layers)
-    ]
-    params = EncoderParams(layers=layers, pooling=pooling)
-    params.validate()
-    return params
 
 
 def _degree_buckets(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> list[tuple]:

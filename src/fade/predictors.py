@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Node, TrainingError
 from .augmentation import AugmentationContext, augment, compute_radius
 from .data import Dataset, NewsInstance, atomic_write, event_groups
-from .encoder import POOLINGS, EncoderParams, encode_all, encode_batch_node, init_encoder
+from .encoder import POOLINGS, EncoderParams, encode_all, encode_batch_node
 
 __all__ = [
     "AffineParams",
@@ -134,6 +134,30 @@ def _base_tensors(enc: EncoderParams, clf: AffineParams) -> dict[str, np.ndarray
     return out
 
 
+def _new_model(kind: str, feature_dim: int, n_classes: int, arch: ArchConfig, rng):
+    """A fresh model of ``kind``: the one statement of every tensor's shape and init.
+
+    Draws from ``rng`` in this order: the He-initialized encoder layers, the
+    classifier weight, then (target only) the projection weights.  Biases
+    are zeros.
+    """
+    arch.validate()
+    if feature_dim < 1 or n_classes < 1:
+        raise ValueError(f"feature_dim and n_classes must be >= 1, got {feature_dim}, {n_classes}")
+    h, p = arch.hidden_dim, arch.proj_dim
+    dims = [feature_dim] + [h] * arch.n_layers
+    layers = [rng.normal(0.0, np.sqrt(2.0 / d_in), (d_in, d_out))
+              for d_in, d_out in zip(dims, dims[1:])]
+    encoder = EncoderParams(layers, arch.pooling)
+    classifier = AffineParams(rng.normal(0.0, np.sqrt(1.0 / h), (h, n_classes)),
+                              np.zeros((1, n_classes)))
+    if kind == "event_only":
+        return EventOnlyPredictorParams(encoder, classifier)
+    return TargetPredictorParams(encoder, classifier, ProjectionParams(
+        rng.normal(0.0, np.sqrt(2.0 / h), (h, p)), np.zeros((1, p)),
+        rng.normal(0.0, np.sqrt(2.0 / p), (p, p)), np.zeros((1, p))))
+
+
 # ---------------------------------------------------------------------------
 # losses
 
@@ -233,22 +257,17 @@ def _event_batches(insts: list[NewsInstance], batch_size: int, rng) -> list[list
 # trainers
 
 
-def _setup(ds: Dataset, train_ids, val_ids, hyper: Hyperparams, seed: int, arch: ArchConfig):
-    """Resolved splits, the seeded generator, and a fresh encoder and classifier."""
+def _setup(kind: str, ds: Dataset, train_ids, val_ids, hyper: Hyperparams, seed: int,
+           arch: ArchConfig):
+    """Resolved splits, the seeded generator, and a fresh model of ``kind``."""
     hyper.validate()
-    arch.validate()
     by_id = ds.by_id()
     train = [by_id[i] for i in train_ids]
     val = [by_id[i] for i in val_ids]
     if not train:
         raise ValueError("train split is empty")
     rng = np.random.default_rng(seed)
-    encoder = init_encoder(ds.feature_dim, arch.hidden_dim, arch.n_layers, rng, arch.pooling)
-    classifier = AffineParams(
-        w=rng.normal(0.0, np.sqrt(1.0 / arch.hidden_dim), (arch.hidden_dim, ds.n_classes)),
-        b=np.zeros((1, ds.n_classes)),
-    )
-    return train, val, rng, encoder, classifier
+    return train, val, rng, _new_model(kind, ds.feature_dim, ds.n_classes, arch, rng)
 
 
 # A diverging run overflows; the finite checks below turn that into one
@@ -325,17 +344,7 @@ def train_target(
     whole train split at the start of every epoch.
     """
     arch = arch or ArchConfig()
-    train, val, rng, encoder, classifier = _setup(ds, train_ids, val_ids, hyper, seed, arch)
-    params = TargetPredictorParams(
-        encoder=encoder,
-        classifier=classifier,
-        projection=ProjectionParams(
-            w1=rng.normal(0.0, np.sqrt(2.0 / arch.hidden_dim), (arch.hidden_dim, arch.proj_dim)),
-            b1=np.zeros((1, arch.proj_dim)),
-            w2=rng.normal(0.0, np.sqrt(2.0 / arch.proj_dim), (arch.proj_dim, arch.proj_dim)),
-            b2=np.zeros((1, arch.proj_dim)),
-        ),
-    )
+    train, val, rng, params = _setup("target", ds, train_ids, val_ids, hyper, seed, arch)
     graphs = [inst.graph for inst in train]
     ctx = AugmentationContext(radius=0.0, num_candidates=hyper.num_candidates, rng_seed=seed)
 
@@ -381,8 +390,7 @@ def train_event_only(
     meaningful.  Log rows match train_target's schema with loss_cl == 0.
     """
     arch = arch or ArchConfig()
-    train, val, rng, encoder, classifier = _setup(ds, train_ids, val_ids, hyper, seed, arch)
-    params = EventOnlyPredictorParams(encoder=encoder, classifier=classifier)
+    train, val, rng, params = _setup("event_only", ds, train_ids, val_ids, hyper, seed, arch)
 
     def batch_loss(nodes, idx, epoch):
         insts = [train[i] for i in idx]
@@ -441,33 +449,26 @@ def load_checkpoint(path):
     for name, tensor in t.items():
         if not (isinstance(tensor, np.ndarray) and tensor.ndim == 2 and tensor.dtype == np.float64):
             raise CheckpointError(f"corrupt checkpoint {path}: {name} is not a 2-D float64 array")
+    # The file must hold exactly the tensors of a model of its own dimensions.
+    # A dimension whose tensor is missing reads 1; the comparison reports the tensor.
+    shape = {name: tensor.shape for name, tensor in t.items()}
+    f, h = shape.get("encoder.layer.0", (1, 1))
+    n_layers = max(1, sum(name.startswith("encoder.layer.") for name in t))
+    c, p = shape.get("classifier.weight", (1, 1))[1], shape.get("projection.w1", (1, 1))[1]
+    arch = ArchConfig(h, n_layers, pooling, p)
     try:
-        n_layers = sum(name.startswith("encoder.layer.") for name in t)
-        encoder = EncoderParams([t[f"encoder.layer.{i}"] for i in range(n_layers)], pooling)
-        encoder.validate()
-        classifier = AffineParams(w=t["classifier.weight"], b=t["classifier.bias"])
-        if kind == "event_only":
-            params = EventOnlyPredictorParams(encoder, classifier)
-        else:
-            params = TargetPredictorParams(encoder, classifier, ProjectionParams(
-                *(t[f"projection.{n}"] for n in ("w1", "b1", "w2", "b2"))))
-    except KeyError as e:
-        raise CheckpointError(f"corrupt checkpoint {path}: missing tensor {e}") from None
-    except ValueError as e:  # a bad pooling name or layer chain, from EncoderParams.validate
+        params = _new_model(kind, f, c, arch, np.random.default_rng(0))
+    except ValueError as e:  # a bad pooling name or a zero dimension
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
-    extra = sorted(set(t) - set(params.named_tensors()))
+    tensors = params.named_tensors()
+    extra = sorted(set(t) - set(tensors))
     if extra:
         raise CheckpointError(f"corrupt checkpoint {path}: unexpected tensors {extra}")
-    # The heads must chain onto the encoder: hidden_dim rows, C classes, P projection dims.
-    h, c = encoder.hidden_dim, classifier.w.shape[1]
-    shapes = {"classifier.weight": (h, c), "classifier.bias": (1, c)}
-    if kind == "target":
-        p = params.projection.w1.shape[1]
-        shapes.update({"projection.w1": (h, p), "projection.b1": (1, p),
-                       "projection.w2": (p, p), "projection.b2": (1, p)})
-    for name, shape in shapes.items():
-        if t[name].shape != shape:
-            raise CheckpointError(
-                f"corrupt checkpoint {path}: {name} has shape {t[name].shape}, expected {shape}"
-            )
+    for name, tensor in tensors.items():
+        if name not in t:
+            raise CheckpointError(f"corrupt checkpoint {path}: missing tensor {name!r}")
+        if shape[name] != tensor.shape:
+            raise CheckpointError(f"corrupt checkpoint {path}: {name} has shape "
+                                  f"{shape[name]}, expected {tensor.shape}")
+        tensor[...] = t[name]
     return params

@@ -14,7 +14,7 @@ import fade.cli as cli
 from fade.autodiff import TrainingError
 from fade.cli import main
 from fade.config import RunConfig
-from fade.data import load_dataset
+from fade.data import Dataset, load_dataset, save_dataset
 from fade.inference import DebiasConfig, evaluate, predict, target_logits
 from fade.predictors import load_checkpoint, save_checkpoint, train_event_only, train_target
 from fade.splitter import event_mixed_split, event_separated_split, load_manifest
@@ -171,7 +171,16 @@ def test_predict_on_an_empty_test_split_exits_3(workspace, tmp_path, capsys):
     rc = main(["predict", "--data", workspace["data"], "--split", str(manifest),
                "--run", workspace["run"], "--beta", "0"])
     assert rc == 3
-    assert capsys.readouterr().err == "error: nothing to predict: the selected split is empty\n"
+    assert capsys.readouterr().err == f"error: manifest {manifest}: the test split is empty\n"
+
+
+def test_predict_on_an_empty_dataset_exits_3_naming_it(workspace, tmp_path, capsys):
+    ds = load_dataset(workspace["data"])
+    empty = tmp_path / "empty.jsonl"
+    save_dataset(Dataset(ds.class_names, ds.feature_dim, []), empty)
+    rc = main(["predict", "--data", str(empty), "--run", workspace["run"], "--beta", "0"])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: dataset {empty} is empty\n"
 
 
 def test_train_on_an_empty_train_split_exits_3_naming_the_manifest(workspace, tmp_path, capsys):
@@ -603,8 +612,12 @@ def test_malformed_manifest_exits_3_naming_file_and_field(workspace, tmp_path, c
 def test_too_few_events_exits_3(tmp_path, capsys):
     data = tmp_path / "tiny.jsonl"
     assert main(["gen-synth", "--set", "n_events=2", "--out", str(data)]) == 0
+    capsys.readouterr()
     rc = main(["split", "--data", str(data), "--out", str(tmp_path / "m.json")])
     assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: dataset {data}: need at least 3 distinct events, got 2\n"
+    )
 
 
 def test_invalid_hyperparameter_exits_2(workspace, tmp_path, capsys):

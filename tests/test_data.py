@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import zlib
 
 import numpy as np
@@ -371,12 +373,12 @@ def _write_dataset(path, fail):
 
 
 def _write_checkpoint(path, fail):
-    from fade.encoder import init_encoder
+    from fade.encoder import EncoderParams
     from fade.predictors import AffineParams, save_checkpoint
 
     rng = np.random.default_rng(0)
     params = (_FailingParams if fail else EventOnlyPredictorParams)(
-        encoder=init_encoder(3, 4, 1, rng),
+        encoder=EncoderParams([rng.normal(size=(3, 4))]),
         classifier=AffineParams(w=rng.normal(size=(4, 2)), b=np.zeros((1, 2))),
     )
     save_checkpoint(params, path)
@@ -420,6 +422,21 @@ class TestAtomicWrite:
             fh.write("new\n")
         assert path.read_bytes() == b"new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_a_fifo_is_refused_not_replaced(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(OSError, match="fifo: exists and is not a regular file"):
+            with atomic_write(fifo) as fh:
+                fh.write("{}")
+        data = tmp_path / "d.jsonl"
+        assert main(["gen-synth", "--set", "n_events=3", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["split", "--data", str(data), "--out", str(fifo)]) == 3
+        assert capsys.readouterr().err == f"error: {fifo}: exists and is not a regular file\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "fifo"]
 
     def test_missing_directory_error_names_the_destination(self, tmp_path):
         path = tmp_path / "no_such_dir" / "f.json"

@@ -5,17 +5,18 @@ import pytest
 
 from fade.autodiff import ShapeError, backward, param, sum_all
 from fade.data import PropagationGraph
-from fade.encoder import (
-    EncoderParams,
-    encode_all,
-    encode_batch_node,
-    init_encoder,
-)
+from fade.encoder import EncoderParams, encode_all, encode_batch_node
 
 
 def random_tree(rng, n, dim):
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     return PropagationGraph(n=n, x=rng.normal(size=(n, dim)), edges=edges)
+
+
+def random_encoder(feature_dim, hidden_dim, n_layers, rng):
+    dims = [feature_dim] + [hidden_dim] * n_layers
+    return EncoderParams([rng.normal(0.0, np.sqrt(2.0 / a), (a, b))
+                          for a, b in zip(dims, dims[1:])])
 
 
 def brute_force_encode(layers, g):
@@ -43,20 +44,20 @@ class TestEncode:
     def test_zero_features_give_zero_representation(self):
         rng = np.random.default_rng(0)
         g = PropagationGraph(n=4, x=np.zeros((4, 5)), edges=[(0, 1), (0, 2), (2, 3)])
-        params = init_encoder(5, 8, 2, rng)
+        params = random_encoder(5, 8, 2, rng)
         assert np.array_equal(encode_all(params, [g]), np.zeros((1, 8)))
 
     def test_path_graph_matches_brute_force(self):
         rng = np.random.default_rng(1)
         g = PropagationGraph(n=3, x=rng.normal(size=(3, 4)), edges=[(0, 1), (1, 2)])
-        params = init_encoder(4, 6, 2, rng)
+        params = random_encoder(4, 6, 2, rng)
         expected = brute_force_encode(params.layers, g)
         assert np.max(np.abs(encode_all(params, [g]) - expected)) < 1e-10
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         g = random_tree(rng, 6, 4)
-        params = init_encoder(4, 8, 2, rng)
+        params = random_encoder(4, 8, 2, rng)
         base = encode_all(params, [g])
 
         perm = rng.permutation(6)
@@ -70,7 +71,7 @@ class TestEncode:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         g = random_tree(rng, 5, 4)
-        params = init_encoder(4, 8, 2, rng)
+        params = random_encoder(4, 8, 2, rng)
         assert np.array_equal(encode_all(params, [g]), encode_all(params, [g]))
 
     def test_dimension_mismatch_raises(self):
@@ -97,7 +98,7 @@ class TestBatched:
     def test_batched_matches_per_instance(self):
         rng = np.random.default_rng(4)
         graphs = [random_tree(rng, int(rng.integers(1, 7)), 4) for _ in range(9)]
-        params = init_encoder(4, 8, 2, rng)
+        params = random_encoder(4, 8, 2, rng)
         batched = encode_all(params, graphs, chunk=4)
         assert np.array_equal(batched, encode_all(params, graphs))
         singles = np.vstack([encode_all(params, [g]) for g in graphs])
@@ -109,7 +110,7 @@ class TestBatched:
         assert np.allclose(batched[~many], singles[~many], rtol=0, atol=1e-14)
 
     def test_empty_batch(self):
-        params = init_encoder(4, 8, 2, np.random.default_rng(0))
+        params = random_encoder(4, 8, 2, np.random.default_rng(0))
         assert encode_all(params, []).shape == (0, 8)
 
     def test_adjacency_built_once_per_graph(self, monkeypatch):
@@ -117,7 +118,7 @@ class TestBatched:
 
         rng = np.random.default_rng(6)
         graphs = [random_tree(rng, int(rng.integers(1, 7)), 4) for _ in range(5)]
-        params = init_encoder(4, 8, 2, rng)
+        params = random_encoder(4, 8, 2, rng)
         calls = []
         original = fade.data.adjacency_entries
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -644,36 +646,26 @@ def test_train_event_only_learns_event_aligned_labels():
 # checkpoints
 
 
-def trained_pair(tmp_path):
+def trained_pair(tmp_path, n_layers=SMALL.n_layers):
     ds = make_dataset(seed=30)
     train, val = split_ids(ds, 3)
     hp = Hyperparams(alpha=0.3, epochs=1, batch_size=8)
-    target, _ = train_target(ds, train, val, hp, seed=0, arch=SMALL)
-    event, _ = train_event_only(ds, train, val, hp, seed=0, arch=SMALL)
+    arch = replace(SMALL, n_layers=n_layers)
+    target, _ = train_target(ds, train, val, hp, seed=0, arch=arch)
+    event, _ = train_event_only(ds, train, val, hp, seed=0, arch=arch)
     return target, event
 
 
-def test_checkpoint_roundtrip_target_bitwise(tmp_path):
-    target, _ = trained_pair(tmp_path)
-    path = tmp_path / "target.ckpt"
-    save_checkpoint(target, path)
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["target", "event_only"])
+def test_checkpoint_roundtrip_bitwise(tmp_path, kind, n_layers):
+    params = trained_pair(tmp_path, n_layers)[kind == "event_only"]
+    path = tmp_path / f"{kind}.ckpt"
+    save_checkpoint(params, path)
     loaded = load_checkpoint(path)
-    assert isinstance(loaded, TargetPredictorParams)
-    assert loaded.encoder.pooling == target.encoder.pooling
-    saved, back = target.named_tensors(), loaded.named_tensors()
-    assert set(saved) == set(back)
-    for name in saved:
-        assert np.array_equal(saved[name], back[name]), name
-
-
-def test_checkpoint_roundtrip_event_only(tmp_path):
-    _, event = trained_pair(tmp_path)
-    path = tmp_path / "event.ckpt"
-    save_checkpoint(event, path)
-    loaded = load_checkpoint(path)
-    assert isinstance(loaded, EventOnlyPredictorParams)
-    for a, b in zip(event.named_tensors().values(), loaded.named_tensors().values()):
-        assert np.array_equal(a, b)
+    assert type(loaded) is type(params)
+    assert loaded.encoder.pooling == params.encoder.pooling
+    assert tensor_bytes(loaded) == tensor_bytes(params)
 
 
 def test_checkpoint_with_add_pooling_is_rejected(tmp_path):
@@ -693,7 +685,10 @@ def test_checkpoint_with_add_pooling_is_rejected(tmp_path):
     ("kind", "unknown kind 'bogus'"),
     ("1-D bias", "classifier.bias is not a 2-D float64 array"),
     ("extra tensor", "unexpected tensors ['extra.w']"),
-    ("no layers", "encoder needs at least one layer"),
+    ("no layers", "missing tensor 'encoder.layer.0'"),
+    ("broken chain", "encoder.layer.1 has shape (7, 8), expected (8, 8)"),
+    ("gapped layers", "unexpected tensors ['encoder.layer.2']"),
+    ("no features", "feature_dim and n_classes must be >= 1, got 0, 2"),
 ])
 def test_checkpoint_with_a_bad_member_is_rejected_naming_the_file(tmp_path, fault, message):
     target, _ = trained_pair(tmp_path)
@@ -704,6 +699,12 @@ def test_checkpoint_with_a_bad_member_is_rejected_naming_the_file(tmp_path, faul
         members["classifier.bias"] = members["classifier.bias"][0]
     elif fault == "extra tensor":
         members["extra.w"] = np.zeros((2, 2))
+    elif fault == "broken chain":
+        members["encoder.layer.1"] = np.zeros((7, 8))
+    elif fault == "gapped layers":
+        members["encoder.layer.2"] = members.pop("encoder.layer.1")
+    elif fault == "no features":
+        members["encoder.layer.0"] = np.zeros((0, 8))
     else:
         members = {k: v for k, v in members.items() if not k.startswith("encoder.layer.")}
     path = tmp_path / "bad.ckpt"
