@@ -74,7 +74,9 @@ def _coerce(key: str, raw):
 def parse_config(text: str, source: str = "<config>") -> "RunConfig":
     """Parse flat key=value text into a validated RunConfig."""
     cfg = RunConfig()
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # load_config reads with universal newlines; str.splitlines would also
+    # break at U+2028, U+2029 and U+0085, which a comment may hold.
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -13,7 +13,6 @@ import contextlib
 import json
 import os
 import re
-import secrets
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -234,19 +233,26 @@ def _require(record: dict, key: str, path, line_no: int, valid, what: str):
     return value
 
 
-def load_dataset(path) -> Dataset:
-    """Read and validate a JSON-Lines dataset file."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _decoded(path, line_no: int, line: bytes) -> str:
     try:
-        lines = blob.decode("utf-8").splitlines()
+        return line.decode("utf-8")
     except UnicodeDecodeError as e:
-        line_no = blob.count(b"\n", 0, e.start) + 1
         raise DatasetParseError(path, line_no, f"not UTF-8: {e}") from None
-    if not lines or not lines[0].strip():
+
+
+def load_dataset(path) -> Dataset:
+    """Read and validate a JSON-Lines dataset file.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, and each is decoded as it is
+    parsed, so the file is never also held as text.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    header_text = _decoded(path, 1, lines[0]) if lines else ""
+    if not header_text.strip():
         raise DatasetParseError(path, 1, "missing header line")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(header_text)
     except json.JSONDecodeError as e:
         raise DatasetParseError(path, 1, f"bad header JSON: {e}") from None
     if not isinstance(header, dict):
@@ -259,10 +265,11 @@ def load_dataset(path) -> Dataset:
 
     ds = Dataset(class_names=classes, feature_dim=feature_dim)
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        text = _decoded(path, line_no, line)
+        if not text.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = json.loads(text)
         except json.JSONDecodeError as e:
             raise DatasetParseError(path, line_no, f"bad JSON: {e}") from None
         if not isinstance(rec, dict):
@@ -310,7 +317,7 @@ def atomic_write(path, binary: bool = False):
     if os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"{path}: exists and is not a regular file")
     head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8")
     except OSError as e:  # name the destination, not the temporary file

@@ -473,6 +473,16 @@ def test_importing_cli_loads_no_process_pool_modules():
     assert result.stdout.strip() == "[]"
 
 
+def test_importing_cli_loads_no_openssl():
+    # `secrets` and `hashlib` load OpenSSL's libcrypto into every command and
+    # every spawned worker; nothing in `fade` hashes.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, fade.cli; print('_hashlib' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert result.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("key", cli.SPLIT_KEYS)
 @pytest.mark.parametrize("command", ["train", "eval", "predict"])
 def test_split_key_override_on_manifest_command_exits_2(workspace, tmp_path, capsys, command, key):

@@ -115,6 +115,28 @@ def test_load_config_reads_file(tmp_path):
     assert cfg.hyperparams().epochs == 3
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"], ids=["U+2028", "U+2029", "U+0085"])
+def test_unicode_line_separators_in_a_comment_do_not_end_the_line(tmp_path, char):
+    path = tmp_path / "u.cfg"
+    path.write_text(f"alpha = 0.3  # a{char}note\nepochs = 3\n", encoding="utf-8")
+    cfg = load_config(path)
+    assert (cfg.get("alpha"), cfg.get("epochs")) == (0.3, 3)
+    path.write_text(f"alpha = 0.3  # a{char}note\nbogus\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=":2: expected 'key = value', got 'bogus'"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_crlf_and_lone_cr_end_a_config_line(tmp_path, eol):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(f"alpha = 0.3{eol}# note{eol}epochs = 3{eol}".encode())
+    cfg = load_config(path)
+    assert (cfg.get("alpha"), cfg.get("epochs")) == (0.3, 3)
+    path.write_bytes(f"alpha = 0.3{eol}# note{eol}bogus{eol}".encode())
+    with pytest.raises(ConfigError, match=":3: expected 'key = value', got 'bogus'"):
+        load_config(path)
+
+
 def test_sub_config_builders_reflect_keys():
     cfg = parse_config(
         "alpha = 0.0\nepochs = 2\nbatch_size = 16\nlr = 0.01\n"

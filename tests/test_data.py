@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -24,6 +25,7 @@ from fade.data import (
 )
 from fade.predictors import EventOnlyPredictorParams
 from fade.splitter import SplitError, SplitManifest, load_manifest, save_manifest
+from fade.synthgen import generate, preset
 
 
 def messy_graph(rng, n):
@@ -241,6 +243,40 @@ class TestIO:
         path.write_text(json.dumps(header) + "\n" + json.dumps(rec) + "\n")
         assert main(["split", "--data", str(path), "--out", str(tmp_path / "m.json")]) == 3
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("eol, iid, message", [
+        ("\n", "q\u2028r", None),
+        ("\n", "\u2029", None),
+        ("\n", "q\u0085", "line 2: id must be a printable string"),
+        ("\r\n", "q", None),
+        ("\r", "q", None),
+    ], ids=["U+2028", "U+2029", "U+0085", "CRLF", "CR"])
+    def test_lines_end_at_cr_and_lf_only(self, tmp_path, eol, iid, message):
+        # Names written raw, as json.dumps(..., ensure_ascii=False) writes them.
+        rec = {"id": iid, "event": "e", "label": 0, "n": 1, "edges": [], "x": [[0.5, 0.5]]}
+        lines = ['{"classes": ["N", "F"], "feature_dim": 2}', json.dumps(rec, ensure_ascii=False)]
+        path = tmp_path / "eol.jsonl"
+        path.write_bytes((eol.join(lines) + eol).encode())
+        if message is None:  # the line loads, and a bad line after it keeps its number
+            assert [i.id for i in load_dataset(path).instances] == [iid]
+            path.write_bytes((eol.join([*lines, "{not json"]) + eol).encode())
+            message = "line 3: bad JSON"
+        with pytest.raises(DatasetParseError, match=f"eol.jsonl: {message}"):
+            load_dataset(path)
+
+    def test_load_holds_the_file_once(self, tmp_path):
+        # The bytes and their lines, not also the decoded text and its lines:
+        # about 1.4x the file size above what the dataset keeps, 2.4x before.
+        path = tmp_path / "t15.jsonl"
+        save_dataset(generate(preset("t15-like", n_events=5)), path)  # about 350 kB
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds.instances) > 0
+        assert peak - retained < 1.7 * path.stat().st_size
 
     def test_missing_header_field(self, tmp_path):
         path = tmp_path / "bad.jsonl"
