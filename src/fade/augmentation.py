@@ -27,17 +27,12 @@ __all__ = [
 
 @dataclass
 class AugmentationContext:
-    """Per-epoch augmentation settings: perturbation radius, candidate count, seed."""
+    """Per-epoch augmentation settings: perturbation radius, candidate count, seed;
+    ``train_target`` checks the radius and ``Hyperparams.validate`` the count."""
 
     radius: float
     num_candidates: int = 10
     rng_seed: int = 0
-
-    def validate(self) -> None:
-        if not np.isfinite(self.radius) or self.radius < 0:
-            raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
-        if self.num_candidates < 1:
-            raise ValueError(f"num_candidates must be >= 1, got {self.num_candidates}")
 
 
 def compute_radius(reps: np.ndarray) -> float:
@@ -118,7 +113,6 @@ def augment(
     offset added here is data: gradients flow through the original
     representation only.
     """
-    ctx.validate()
     vector = np.asarray(rep, dtype=np.float64).reshape(1, -1)
     if ctx.radius == 0.0:
         return vector.copy()

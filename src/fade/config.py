@@ -15,12 +15,12 @@ ranges in its ``validate``.
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .inference import DebiasConfig
 from .predictors import ArchConfig, Hyperparams
 from .splitter import SplitError, SplitRatios
-from .synthgen import PRESETS, SynthConfig
+from .synthgen import SynthConfig, preset
 
 __all__ = ["ConfigError", "RunConfig", "KNOWN_KEYS", "parse_config", "load_config"]
 
@@ -130,16 +130,13 @@ class RunConfig:
     # ---- per-module views -------------------------------------------------
 
     def synth_config(self, seed: int) -> SynthConfig:
-        name = self.get("preset")
-        if name:
-            if name not in PRESETS:
-                raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-            base = PRESETS[name]
-        else:
-            base = SynthConfig()
         # Only keys set explicitly override the preset.
-        names = [f.name for f in fields(SynthConfig)]
-        return replace(base, **{n: self.values[n] for n in names if n in self.values}, seed=seed)
+        given = {n: self.values[n] for n in _field_keys(SynthConfig) if n in self.values}
+        name = self.get("preset")
+        try:
+            return preset(name, **given, seed=seed) if name else SynthConfig(**given, seed=seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def _view(self, cls):
         return cls(**{f.name: self.get(f.name) for f in fields(cls)})

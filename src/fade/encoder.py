@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, ShapeError, const, gcn_layer, segment_pool
+from .autodiff import Node, const, gcn_layer, segment_pool
 from .data import PropagationGraph
 
 __all__ = [
@@ -30,7 +30,8 @@ POOLINGS = ("mean",)
 
 @dataclass
 class EncoderParams:
-    """Stacked layer weights plus the pooling choice."""
+    """Stacked layer weights plus the pooling choice; ``predictors._new_model``,
+    ``load_checkpoint``, ``gcn_layer`` and ``encode_batch_node`` check them."""
 
     layers: list[np.ndarray]
     pooling: str = "mean"
@@ -42,18 +43,6 @@ class EncoderParams:
     @property
     def hidden_dim(self) -> int:
         return self.layers[-1].shape[1]
-
-    def validate(self) -> None:
-        if not self.layers:
-            raise ShapeError("encoder needs at least one layer")
-        if self.pooling not in POOLINGS:
-            raise ValueError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
-        for i in range(len(self.layers) - 1):
-            if self.layers[i].shape[1] != self.layers[i + 1].shape[0]:
-                raise ShapeError(
-                    f"layer {i} output dim {self.layers[i].shape[1]} != "
-                    f"layer {i + 1} input dim {self.layers[i + 1].shape[0]}"
-                )
 
 
 def _degree_buckets(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> list[tuple]:
@@ -108,7 +97,6 @@ def encode_all(
 
     Processed in chunks of ``chunk`` graphs to bound each batch's size.
     """
-    params.validate()
     nodes = [const(w) for w in params.layers]
     rows = []
     for start in range(0, len(graphs), chunk):

@@ -181,11 +181,6 @@ def contrastive_loss(p_original: Node, p_augmented: Node) -> Node:
     zero gradient: ``row_normalize`` zeroes them, since cosine is undefined
     there.
     """
-    if p_original.value.shape != p_augmented.value.shape:
-        raise ad.ShapeError(
-            f"contrastive_loss: shapes differ, {p_original.value.shape} vs "
-            f"{p_augmented.value.shape}"
-        )
     b = p_original.value.shape[0]
     cos = ad.hadamard(ad.row_normalize(p_original), ad.row_normalize(p_augmented))
     return ad.scale(ad.sum_all(cos), -1.0 / b)

@@ -141,7 +141,7 @@ def event_mixed_split(ds: Dataset, ratios: SplitRatios, seed: int) -> SplitManif
     """Instance-level partition with the same ratio targets, events ignored."""
     ratios.validate()
     if len(ds.events()) < 3:
-        raise SplitError("need at least 3 distinct events")
+        raise SplitError(f"need at least 3 distinct events, got {len(ds.events())}")
     ids = [i.id for i in ds.instances]
     total = len(ids)
     rng = np.random.default_rng(seed)

@@ -144,11 +144,10 @@ class TestSelection:
         b = augment(rep, ctx, classify, 0, sample_id="x", epoch=2)
         assert np.array_equal(a, b)
 
-    def test_invalid_context_rejected(self):
-        with pytest.raises(ValueError):
-            AugmentationContext(radius=-1.0).validate()
-        with pytest.raises(ValueError):
-            AugmentationContext(radius=1.0, num_candidates=0).validate()
+    def test_zero_candidates_return_the_original_row(self):
+        ctx = AugmentationContext(radius=0.5, num_candidates=0)
+        rep = np.array([[1.0, -2.0]])
+        assert np.array_equal(augment(rep, ctx, lambda v: v @ np.eye(2), 0), rep)
 
 
 def test_margin_definition():

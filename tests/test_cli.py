@@ -619,11 +619,12 @@ def test_malformed_manifest_exits_3_naming_file_and_field(workspace, tmp_path, c
     assert str(manifest) in err and field in err
 
 
-def test_too_few_events_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["separated", "mixed"])
+def test_too_few_events_exits_3(tmp_path, capsys, mode):
     data = tmp_path / "tiny.jsonl"
     assert main(["gen-synth", "--set", "n_events=2", "--out", str(data)]) == 0
     capsys.readouterr()
-    rc = main(["split", "--data", str(data), "--out", str(tmp_path / "m.json")])
+    rc = main(["split", "--data", str(data), "--mode", mode, "--out", str(tmp_path / "m.json")])
     assert rc == 3
     assert capsys.readouterr().err == (
         f"error: dataset {data}: need at least 3 distinct events, got 2\n"
@@ -738,6 +739,7 @@ def test_bad_beta_exits_2_before_any_input_is_read(tmp_path, capsys, command):
      "beta: expected a finite number, got 'nan'"),
     (["ablate", "--seeds", "2.5"], "ablate_seeds: expected an integer, got '2.5'"),
     (["ablate", "--seeds", "0"], "ablate_seeds must be >= 1, got 0"),
+    (["ablate", "--set", "preset=nope"], "unknown preset 'nope'; available: ['t15-like']"),
 ])
 def test_config_key_flags_are_checked_like_set(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -81,15 +81,16 @@ class TestEncode:
             encode_all(params, [g])
 
     def test_bad_layer_chain_rejected(self):
+        g = PropagationGraph(n=2, x=np.zeros((2, 3)), edges=[(0, 1)])
         params = EncoderParams(layers=[np.zeros((3, 8)), np.zeros((7, 8))])
-        with pytest.raises(ShapeError, match="layer 0"):
-            params.validate()
+        with pytest.raises(ShapeError, match=r"\(2, 8\) vs \(7, 8\)"):
+            encode_all(params, [g])
 
     def test_add_pooling_is_rejected(self):
         g = PropagationGraph(n=2, x=np.zeros((2, 3)), edges=[(0, 1)])
         layers = [np.zeros((3, 8))]
         with pytest.raises(ValueError, match="pooling must be one of"):
-            EncoderParams(layers=layers, pooling="add").validate()
+            encode_all(EncoderParams(layers, "add"), [g])
         with pytest.raises(ValueError, match="pooling must be one of"):
             encode_batch_node([param(layers[0])], [g], "add")
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -27,3 +28,20 @@ def test_all_lists_every_public_function_and_only_existing_names(module):
     assert sorted(public_functions - set(module.__all__)) == []
     assert len(set(module.__all__)) == len(module.__all__)
     exec(f"from {module.__name__} import *", {})
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+@pytest.mark.parametrize("module", [fade, *MODULES], ids=lambda m: m.__name__)
+def test_every_imported_name_is_used(module):
+    # no linter runs on the package, so an import a deletion leaves behind stops here
+    tree = ast.parse(inspect.getsource(module))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = set(_imported_names(tree)) - used - set(getattr(module, "__all__", ()))
+    assert sorted(unused) == [], f"{module.__name__} imports unused {sorted(unused)}"
