@@ -30,7 +30,6 @@ from .data import DatasetError, atomic_write, load_dataset, save_dataset
 from .inference import (
     DebiasConfig,
     evaluate,
-    f1_bar_chart_svg,
     predict,
     report_to_json,
     report_to_text,
@@ -169,19 +168,28 @@ def _predict_run(args, cfg: RunConfig):
     return ds, insts, beta, source, predictions
 
 
-def _spawn_pool(workers: int):
-    """A process pool of ``workers`` spawned processes.
+def _fork_pool(workers: int, initializer=None, initargs=()):
+    """A process pool of ``workers`` processes forked from this one.
 
-    Spawn, not fork: a fresh worker imports `fade`, so it computes on one BLAS
-    thread like this process, and the processes share the cores without
-    oversubscribing them.
+    A forked worker starts as this process is: numpy and `fade` are imported,
+    it computes on the one BLAS thread `fade` pinned before numpy loaded, and
+    it shares this process's memory copy-on-write.  ``initargs`` reach
+    ``initializer`` as these very objects, not pickled.  The pool forks all
+    its workers before it starts its own manager thread, and the CLI starts
+    no thread, so none is alive at the fork.  Needs a platform with ``fork``
+    (POSIX).
     """
     # Imported here, not at module level, so that `import fade.cli`, which
     # every command pays for, does not load them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    return ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=initializer,
+        initargs=initargs,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +226,19 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _train_event_only_run(data, split, hyper, seed, arch):
-    """``train``'s event-only fit, on inputs this process reads itself."""
-    ds, manifest = _load_inputs(data, split)
+# `train`'s inputs, ``(ds, manifest)``, in its event-only worker; set there by
+# the pool's initializer, `_keep_inputs`.
+_worker_inputs = None
+
+
+def _keep_inputs(ds, manifest) -> None:
+    global _worker_inputs
+    _worker_inputs = ds, manifest
+
+
+def _train_event_only_run(hyper, seed, arch):
+    """``train``'s event-only fit, on the inputs `_keep_inputs` kept in this worker."""
+    ds, manifest = _worker_inputs
     return train_event_only(ds, manifest.train_ids, manifest.val_ids, hyper, seed=seed, arch=arch)
 
 
@@ -229,17 +247,16 @@ def cmd_train(args) -> int:
     hyper = cfg.hyperparams()
     arch = cfg.arch()
     run = _run_dir(args.out)
+    ds, manifest = _load_inputs(args.data, args.split)
+    if not manifest.train_ids:
+        raise DatasetError(f"manifest {args.split}: the train split is empty")
 
-    # The two predictors train independently, so a spawned worker fits the
-    # event-only one meanwhile.  It is started first and reads the inputs
-    # itself: sending it the dataset would cost more memory than reading it
-    # twice.  On a failure here the pool waits for the worker.
+    # The two predictors train independently, so a worker forked from this
+    # process fits the event-only one meanwhile, on the inputs loaded here.
+    # On a failure here the pool waits for the worker.
     t0 = time.perf_counter()
-    with _spawn_pool(1) as pool:
-        future = pool.submit(_train_event_only_run, args.data, args.split, hyper, args.seed, arch)
-        ds, manifest = _load_inputs(args.data, args.split)
-        if not manifest.train_ids:
-            raise DatasetError(f"manifest {args.split}: the train split is empty")
+    with _fork_pool(1, _keep_inputs, (ds, manifest)) as pool:
+        future = pool.submit(_train_event_only_run, hyper, args.seed, arch)
         target, target_log = train_target(
             ds, manifest.train_ids, manifest.val_ids, hyper, seed=args.seed, arch=arch
         )
@@ -278,8 +295,6 @@ def cmd_eval(args) -> int:
         payload = {"generated_at": _timestamp(), "beta": beta, "beta_source": source}
         payload.update(json.loads(report_to_json(report)))
         _write_json(args.out, payload)
-    if args.plot:
-        _write_text(args.plot, f1_bar_chart_svg(report))
     return 0
 
 
@@ -349,7 +364,7 @@ def cmd_ablate(args) -> int:
     seeds = list(range(n_seeds))
     out = _run_dir(args.out)
 
-    # Seeds run on spawned worker processes, one seed per task; `map` returns
+    # Seeds run on forked worker processes, one seed per task; `map` returns
     # them in seed order.  There is always a pool, even for one seed, so there
     # is one code path whatever the core count.
     if hasattr(os, "sched_getaffinity"):
@@ -358,7 +373,7 @@ def cmd_ablate(args) -> int:
         cpus = os.cpu_count() or 1
     workers = min(n_seeds, cpus)
     t0 = time.perf_counter()
-    with _spawn_pool(workers) as pool:
+    with _fork_pool(workers) as pool:
         try:
             results = list(pool.map(_ablate_one_seed, [cfg] * n_seeds, seeds))
         except BaseException:
@@ -452,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", required=True, help="run directory holding the checkpoints")
     p.add_argument("--beta", help="debiasing strength (default: config, else val sweep)")
     p.add_argument("--out", help="write the report as JSON here")
-    p.add_argument("--plot", help="write a per-class F1 bar chart (SVG) here")
 
     p = command("predict", common, cmd_predict, "emit per-instance predictions")
     p.add_argument("--data", required=True, help="dataset path")

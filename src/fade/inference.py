@@ -34,7 +34,6 @@ __all__ = [
     "sweep_beta",
     "report_to_json",
     "report_to_text",
-    "f1_bar_chart_svg",
 ]
 
 DEFAULT_BETA_GRID = tuple(round(0.1 * k, 1) for k in range(11))
@@ -186,44 +185,3 @@ def report_to_text(report: EvalReport) -> str:
     for name, row in zip(names, report.confusion):
         lines.append(f"{name:<{width}}  " + "  ".join(f"{v:>{cell}}" for v in row))
     return "\n".join(lines) + "\n"
-
-
-def f1_bar_chart_svg(report: EvalReport) -> str:
-    """Self-contained SVG bar chart of per-class F1 (deterministic bytes)."""
-    # Imported here, not at module level: it loads urllib and email, which only --plot needs.
-    from xml.sax.saxutils import escape
-
-    bar_w, gap, left, top, plot_h = 60, 30, 50, 20, 200
-    n = len(report.per_class_f1)
-    width = left + n * (bar_w + gap) + gap
-    height = top + plot_h + 40
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{width - gap}" y2="{top + plot_h}" '
-        'stroke="black"/>',
-    ]
-    for tick in (0.0, 0.5, 1.0):
-        y = top + plot_h - int(round(tick * plot_h))
-        parts.append(
-            f'<text x="{left - 8}" y="{y + 4}" font-size="11" text-anchor="end">{tick:.1f}</text>'
-        )
-        parts.append(
-            f'<line x1="{left - 4}" y1="{y}" x2="{left}" y2="{y}" stroke="black"/>'
-        )
-    for i, (name, f1) in enumerate(report.per_class_f1):
-        h = int(round(f1 * plot_h))
-        x = left + gap + i * (bar_w + gap)
-        y = top + plot_h - h
-        parts.append(f'<rect x="{x}" y="{y}" width="{bar_w}" height="{h}" fill="#4477aa"/>')
-        parts.append(
-            f'<text x="{x + bar_w // 2}" y="{top + plot_h + 16}" font-size="12" '
-            f'text-anchor="middle">{escape(name)}</text>'
-        )
-        parts.append(
-            f'<text x="{x + bar_w // 2}" y="{y - 4}" font-size="11" '
-            f'text-anchor="middle">{f1:.3f}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -1,6 +1,5 @@
 import copy
 import json
-import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from fade.inference import (
     debias,
     evaluate,
     event_only_logits,
-    f1_bar_chart_svg,
     predict,
     report_to_json,
     report_to_text,
@@ -325,8 +323,8 @@ def test_sweep_beta_empty_validation_set(trained):
 # report rendering
 
 
-def sample_report(classes=("real", "fake")):
-    return evaluate([0, 0, 1, 1, 1, 0], [0, 1, 1, 1, 0, 0], list(classes),
+def sample_report():
+    return evaluate([0, 0, 1, 1, 1, 0], [0, 1, 1, 1, 0, 0], ["real", "fake"],
                     events=["e1", "e1", "e2", "e2", "e3", "e3"])
 
 
@@ -348,27 +346,3 @@ def test_report_text_contains_aligned_fields():
     assert any(line.startswith("real") for line in lines)
     assert any(line.startswith("accuracy") for line in lines)
     assert "confusion" in text
-
-
-def test_svg_is_wellformed_and_deterministic():
-    for classes in (["real", "fake"], ["real", "rumour<&>"]):
-        report = sample_report(classes)
-        svg1 = f1_bar_chart_svg(report)
-        assert svg1 == f1_bar_chart_svg(report)
-        root = ET.fromstring(svg1)
-        assert root.tag.endswith("svg")
-        texts = [el.text for el in root.iter() if el.tag.endswith("text")]
-        assert [t for t in texts if t in classes] == classes
-        rects = [el for el in root.iter() if el.tag.endswith("rect")]
-        assert len(rects) == 2
-        heights = [float(r.get("height")) for r in rects]
-        f1s = [f1 for _, f1 in report.per_class_f1]
-        assert heights[0] / 200.0 == pytest.approx(f1s[0], abs=0.01)
-        assert heights[1] / 200.0 == pytest.approx(f1s[1], abs=0.01)
-
-
-def test_svg_bar_count_tracks_classes():
-    report = evaluate([0, 1, 2], [0, 1, 2], ["a", "b", "c"])
-    root = ET.fromstring(f1_bar_chart_svg(report))
-    rects = [el for el in root.iter() if el.tag.endswith("rect")]
-    assert len(rects) == 3
