@@ -1,11 +1,14 @@
 """Minimal dense-matrix reverse-mode automatic differentiation.
 
 Values are 2-D float64 numpy arrays ("matrices"); every operation returns a
-new :class:`Node` that remembers its inputs and the local chain rule.  The
-engine is deliberately small: just enough ops for a GCN encoder and linear
-heads, plus the two pieces the training losses need, softmax cross-entropy
-and row normalization.  Each of those is one node with a hand-written
-gradient rather than a composition of elementwise exp/log ops.
+new :class:`Node` that pairs each of its inputs with that input's
+vector-Jacobian product: a function from the output's gradient to the
+input's share of it.  Ops only compute; :func:`backward` alone adds each
+share into its input's ``grad``.  The engine is deliberately small: just
+enough ops for a GCN encoder and linear heads, plus the two pieces the
+training losses need, softmax cross-entropy and row normalization.  Each of
+those is one node with a hand-written gradient rather than a composition of
+elementwise exp/log ops.
 """
 
 from __future__ import annotations
@@ -64,20 +67,20 @@ def as_matrix(data) -> np.ndarray:
 class Node:
     """One value in a computation graph plus space for its gradient.
 
-    ``parents`` and ``_rule`` (set by each op) encode the local backward rule;
-    leaves have neither.  Only parameters and the nodes they reach carry a
-    gradient, so a parameter is exactly a leaf whose ``grad`` is set; for the
-    rest (constants and ops on constants only) ``grad`` is None, backward
-    rules skip them, and they are left out of ``parents``.
+    ``parents`` holds ``(input, vjp)`` pairs in the op's input order, where
+    ``vjp(g)`` is the input's share of the gradient when this node's is
+    ``g``; leaves have none.  Only parameters and the nodes they reach carry
+    a gradient, so a parameter is exactly a leaf whose ``grad`` is set; for
+    the rest (constants and ops on constants only) ``grad`` is None and their
+    pairs are left out of ``parents``.
     """
 
-    __slots__ = ("value", "grad", "parents", "_rule")
+    __slots__ = ("value", "grad", "parents")
 
     def __init__(self, value, parents=()):
         self.value = as_matrix(value)
-        self.parents = tuple(p for p in parents if p.grad is not None)
+        self.parents = tuple((p, vjp) for p, vjp in parents if p.grad is not None)
         self.grad = np.zeros_like(self.value) if self.parents else None
-        self._rule = None
 
 
 def param(value) -> Node:
@@ -103,16 +106,7 @@ def matmul(a: Node, b: Node) -> Node:
         raise ShapeError(
             f"matmul: inner dimensions differ, {a.value.shape} vs {b.value.shape}"
         )
-    out = Node(a.value @ b.value, (a, b))
-
-    def rule(g):
-        if a.grad is not None:
-            a.grad += g @ b.value.T
-        if b.grad is not None:
-            b.grad += a.value.T @ g
-
-    out._rule = rule
-    return out
+    return Node(a.value @ b.value, ((a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)))
 
 
 def _bucket_product(buckets, a: np.ndarray) -> np.ndarray:
@@ -149,17 +143,13 @@ def gcn_layer(buckets, h: Node, w: Node) -> Node:
     p = _bucket_product(buckets, h.value)
     z = p @ w.value
     mask = z > 0  # gradient at exactly 0 is 0
-    out = Node(_positive_part(z), (h, w))
-
-    def rule(g):
-        gm = g * mask
-        if w.grad is not None:
-            w.grad += p.T @ gm
-        if h.grad is not None:
-            h.grad += _bucket_product(buckets, gm @ w.value.T)
-
-    out._rule = rule
-    return out
+    return Node(
+        _positive_part(z),
+        (
+            (h, lambda g: _bucket_product(buckets, (g * mask) @ w.value.T)),
+            (w, lambda g: p.T @ (g * mask)),
+        ),
+    )
 
 
 def segment_pool(h: Node, sizes) -> Node:
@@ -178,65 +168,30 @@ def segment_pool(h: Node, sizes) -> Node:
         )
     scale = 1.0 / sizes[:, None]
     starts = np.cumsum(sizes) - sizes
-    out = Node(np.add.reduceat(h.value, starts, axis=0) * scale, (h,))
-
-    def rule(g):
-        h.grad += np.repeat(g * scale, sizes, axis=0)
-
-    out._rule = rule
-    return out
+    pooled = np.add.reduceat(h.value, starts, axis=0) * scale
+    return Node(pooled, ((h, lambda g: np.repeat(g * scale, sizes, axis=0)),))
 
 
 def add(a: Node, b: Node) -> Node:
     _check_same_shape("add", a, b)
-    out = Node(a.value + b.value, (a, b))
-
-    def rule(g):
-        if a.grad is not None:
-            a.grad += g
-        if b.grad is not None:
-            b.grad += g
-
-    out._rule = rule
-    return out
+    return Node(a.value + b.value, ((a, lambda g: g), (b, lambda g: g)))
 
 
 def scale(a: Node, c: float) -> Node:
     """Multiply every entry by the python scalar ``c``."""
     c = float(c)
-    out = Node(a.value * c, (a,))
-
-    def rule(g):
-        a.grad += g * c
-
-    out._rule = rule
-    return out
+    return Node(a.value * c, ((a, lambda g: g * c),))
 
 
 def relu(a: Node) -> Node:
     mask = a.value > 0  # gradient at exactly 0 is 0
-    out = Node(_positive_part(a.value), (a,))
-
-    def rule(g):
-        a.grad += g * mask
-
-    out._rule = rule
-    return out
+    return Node(_positive_part(a.value), ((a, lambda g: g * mask),))
 
 
 def hadamard(a: Node, b: Node) -> Node:
     """Entrywise product."""
     _check_same_shape("hadamard", a, b)
-    out = Node(a.value * b.value, (a, b))
-
-    def rule(g):
-        if a.grad is not None:
-            a.grad += g * b.value
-        if b.grad is not None:
-            b.grad += g * a.value
-
-    out._rule = rule
-    return out
+    return Node(a.value * b.value, ((a, lambda g: g * b.value), (b, lambda g: g * a.value)))
 
 
 def _check_nonempty(op: str, a: Node) -> None:
@@ -246,13 +201,7 @@ def _check_nonempty(op: str, a: Node) -> None:
 
 def sum_all(a: Node) -> Node:
     _check_nonempty("sum", a)
-    out = Node([[a.value.sum()]], (a,))
-
-    def rule(g):
-        a.grad += g[0, 0]
-
-    out._rule = rule
-    return out
+    return Node([[a.value.sum()]], ((a, lambda g: g[0, 0]),))
 
 
 def cross_entropy(logits: Node, labels) -> Node:
@@ -267,15 +216,13 @@ def cross_entropy(logits: Node, labels) -> Node:
     shifted = logits.value - logits.value.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e.sum(axis=1, keepdims=True)
-    out = Node([[np.sum(np.log(s[:, 0]) - shifted[picked]) / b]], (logits,))
 
-    def rule(g):
+    def vjp(g):
         d = e / s
         d[picked] -= 1.0
-        logits.grad += d * (g[0, 0] / b)
+        return d * (g[0, 0] / b)
 
-    out._rule = rule
-    return out
+    return Node([[np.sum(np.log(s[:, 0]) - shifted[picked]) / b]], ((logits, vjp),))
 
 
 def row_normalize(a: Node) -> Node:
@@ -288,14 +235,12 @@ def row_normalize(a: Node) -> Node:
     alive = sq > 1e-24
     norm = np.sqrt(np.where(alive, sq, 1.0))
     u = np.where(alive, a.value / norm, 0.0)
-    out = Node(u, (a,))
 
-    def rule(g):
+    def vjp(g):
         ug = (u * g).sum(axis=1, keepdims=True)
-        a.grad += np.where(alive, (g - u * ug) / norm, 0.0)
+        return np.where(alive, (g - u * ug) / norm, 0.0)
 
-    out._rule = rule
-    return out
+    return Node(u, ((a, vjp),))
 
 
 def _toposort(root: Node) -> list[Node]:
@@ -312,28 +257,23 @@ def _toposort(root: Node) -> list[Node]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node.parents:
+        for parent, _ in node.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
 
-def backward(loss: Node) -> dict[Node, np.ndarray]:
-    """Accumulate dloss/dnode into every node reachable from ``loss``.
-
-    Returns the gradients of parameter leaves, keyed by Node; empty when no
-    parameter reaches ``loss``.
-    """
+def backward(loss: Node) -> None:
+    """Accumulate dloss/dnode into the ``grad`` of every node that carries one
+    and is reachable from ``loss``; the only code that writes an op's share."""
     if loss.value.shape != (1, 1):
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
     if loss.grad is None:
-        return {}
-    order = _toposort(loss)
+        return
     loss.grad += 1.0
-    for node in reversed(order):
-        if node._rule is not None:
-            node._rule(node.grad)
-    return {node: node.grad for node in order if not node.parents}
+    for node in reversed(_toposort(loss)):
+        for parent, vjp in node.parents:
+            parent.grad += vjp(node.grad)
 
 
 @dataclass

@@ -316,8 +316,8 @@ def atomic_write(path, binary: bool = False):
     path = os.fspath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"{path}: exists and is not a regular file")
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    # the temporary name holds no part of the target's, so any name legal there fits
+    tmp = os.path.join(os.path.dirname(path), f".{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8")
     except OSError as e:  # name the destination, not the temporary file

@@ -5,13 +5,9 @@ from fade import autodiff as ad
 
 def _propagate(buckets, a):
     """N @ a as its own node, whose backward is the same product (N is symmetric)."""
-    out = ad.Node(ad._bucket_product(buckets, a.value), (a,))
-
-    def rule(g):
-        a.grad += ad._bucket_product(buckets, g)
-
-    out._rule = rule
-    return out
+    return ad.Node(
+        ad._bucket_product(buckets, a.value), ((a, lambda g: ad._bucket_product(buckets, g)),)
+    )
 
 
 def _three_node_layer(buckets, h, w):

@@ -459,6 +459,14 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
 
+    def test_a_name_at_the_length_limit_is_written(self, tmp_path):
+        # the temporary file's name must fit wherever the target's does
+        path = tmp_path / ("a" * 245 + ".json")
+        with atomic_write(path) as fh:
+            fh.write("{}")
+        assert path.read_text() == "{}"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     def test_a_fifo_is_refused_not_replaced(self, tmp_path, capsys):
         fifo = tmp_path / "fifo"

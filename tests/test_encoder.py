@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fade.encoder
 from fade.autodiff import ShapeError, backward, param, sum_all
 from fade.data import PropagationGraph
 from fade.encoder import EncoderParams, encode_all, encode_batch_node
@@ -96,12 +97,14 @@ class TestEncode:
 
 
 class TestBatched:
-    def test_batched_matches_per_instance(self):
+    def test_batched_matches_per_instance(self, monkeypatch):
         rng = np.random.default_rng(4)
         graphs = [random_tree(rng, int(rng.integers(1, 7)), 4) for _ in range(9)]
         params = random_encoder(4, 8, 2, rng)
-        batched = encode_all(params, graphs, chunk=4)
-        assert np.array_equal(batched, encode_all(params, graphs))
+        whole = encode_all(params, graphs)
+        monkeypatch.setattr(fade.encoder, "_CHUNK", 4)
+        batched = encode_all(params, graphs)
+        assert np.array_equal(batched, whole)
         singles = np.vstack([encode_all(params, [g]) for g in graphs])
         many = np.array([g.n > 1 for g in graphs])
         assert np.array_equal(batched[many], singles[many])
@@ -130,8 +133,9 @@ class TestBatched:
         monkeypatch.setattr(fade.data, "adjacency_entries", counting)
         # the encoder never forms the dense adjacency
         monkeypatch.setattr(fade.data, "normalized_adjacency", None)
-        first = encode_all(params, graphs, chunk=2)
-        second = encode_all(params, graphs, chunk=2)
+        monkeypatch.setattr(fade.encoder, "_CHUNK", 2)
+        first = encode_all(params, graphs)
+        second = encode_all(params, graphs)
         assert len(calls) == len(graphs)
         assert np.array_equal(first, second)
         for g in graphs:

@@ -45,3 +45,34 @@ def test_every_imported_name_is_used(module):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = set(_imported_names(tree)) - used - set(getattr(module, "__all__", ()))
     assert sorted(unused) == [], f"{module.__name__} imports unused {sorted(unused)}"
+
+
+def _grad_writers(tree):
+    """Qualified names of the top-level functions and methods that assign or
+    augment an attribute named ``grad``, or an item or slice of one."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{f.name}", f) for f in node.body
+                     if isinstance(f, ast.FunctionDef)]
+    for name, fn in defs:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if any(isinstance(n, ast.Attribute) and n.attr == "grad"
+                   for t in targets for n in ast.walk(t)):
+                yield name
+                break
+
+
+def test_only_backward_accumulates_gradients():
+    # an op returns each input's share of the gradient with that input;
+    # adding the shares up is backward's job alone
+    tree = ast.parse(inspect.getsource(importlib.import_module("fade.autodiff")))
+    assert sorted(set(_grad_writers(tree))) == ["Node.__init__", "backward", "param"]
