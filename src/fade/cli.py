@@ -31,7 +31,6 @@ from .inference import (
     DebiasConfig,
     evaluate,
     predict,
-    report_to_json,
     report_to_text,
     sweep_beta,
 )
@@ -69,13 +68,9 @@ def _out_path(path) -> Path:
     return p
 
 
-def _write_text(path, text: str) -> None:
-    with atomic_write(_out_path(path)) as fh:
-        fh.write(text)
-
-
 def _write_json(path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    with atomic_write(_out_path(path)) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _run_dir(path) -> Path:
@@ -292,9 +287,10 @@ def cmd_eval(args) -> int:
     print(f"beta      {beta:g}  ({source})")
     print(report_to_text(report), end="")
     if args.out:
-        payload = {"generated_at": _timestamp(), "beta": beta, "beta_source": source}
-        payload.update(json.loads(report_to_json(report)))
-        _write_json(args.out, payload)
+        _write_json(
+            args.out,
+            {"generated_at": _timestamp(), "beta": beta, "beta_source": source, **report},
+        )
     return 0
 
 
@@ -352,7 +348,7 @@ def _ablate_one_seed(cfg: RunConfig, seed: int) -> dict:
     ):
         insts = [by_id[i] for i in split.test_ids]
         predictions = predict(model, event_only, insts, DebiasConfig(beta=b))
-        row[name] = evaluate(predictions, [i.label for i in insts], ds.class_names).accuracy
+        row[name] = evaluate(predictions, [i.label for i in insts], ds.class_names)["accuracy"]
     return row
 
 
@@ -485,7 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, not at interpreter exit, so a closed pipe is caught below.
+        sys.stdout.flush()
+        return code
     except (TrainingError, ShapeError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -9,7 +9,6 @@ event are pooled together before the event-only pass.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +24,12 @@ from .predictors import (
 
 __all__ = [
     "DebiasConfig",
-    "EvalReport",
     "debias",
     "target_logits",
     "event_only_logits",
     "predict",
     "evaluate",
     "sweep_beta",
-    "report_to_json",
     "report_to_text",
 ]
 
@@ -48,15 +45,6 @@ class DebiasConfig:
     def validate(self) -> None:
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-
-
-@dataclass
-class EvalReport:
-    accuracy: float
-    per_class_f1: list[tuple[str, float]]
-    confusion: np.ndarray  # [true, predicted] counts
-    n_test: int
-    n_events: int
 
 
 def debias(o_target, o_event, cfg: DebiasConfig) -> np.ndarray:
@@ -86,12 +74,12 @@ def predict(
     return np.argmax(debias(o_t, o_e, cfg), axis=1)
 
 
-def evaluate(predictions, labels, class_names: list[str], events=None) -> EvalReport:
+def evaluate(predictions, labels, class_names: list[str], events=None) -> dict:
     """Accuracy, one-vs-rest F1 per class, and the confusion matrix.
 
-    A class with no true instances and no predictions gets F1 = 0.
-    ``events`` (optional, aligned with predictions) only feeds the distinct
-    event count in the report.
+    The report is the JSON object `eval --out` writes after its own keys.  A
+    class with no true instances and no predictions gets F1 = 0.  ``events``
+    (optional, aligned with predictions) only feeds the distinct event count.
     """
     predictions = np.asarray(predictions, dtype=int)
     labels = np.asarray(labels, dtype=int)
@@ -116,34 +104,30 @@ def evaluate(predictions, labels, class_names: list[str], events=None) -> EvalRe
         fp = confusion[:, c].sum() - tp
         fn = confusion[c, :].sum() - tp
         denom = 2 * tp + fp + fn
-        per_class_f1.append((name, 2.0 * tp / denom if denom else 0.0))
-    n_events = len(set(events)) if events is not None else 0
-    return EvalReport(
-        accuracy=float(np.trace(confusion)) / n,
-        per_class_f1=per_class_f1,
-        confusion=confusion,
-        n_test=n,
-        n_events=n_events,
-    )
+        per_class_f1.append([name, float(2.0 * tp / denom) if denom else 0.0])
+    return {
+        "accuracy": float(np.trace(confusion)) / n,
+        "per_class_f1": per_class_f1,
+        "confusion": confusion.tolist(),
+        "n_test": n,
+        "n_events": len(set(events)) if events is not None else 0,
+    }
 
 
 def sweep_beta(
     target: TargetPredictorParams,
     event_only: EventOnlyPredictorParams,
     instances: list[NewsInstance],
-    grid=DEFAULT_BETA_GRID,
 ) -> float:
-    """Grid value maximizing accuracy on the given instances; ties break low."""
-    grid = sorted(float(b) for b in grid)
-    if not grid:
-        raise ValueError("sweep_beta: empty grid")
+    """`DEFAULT_BETA_GRID` value maximizing accuracy on the given instances; ties break low."""
     if not instances:
         raise ValueError("sweep_beta: empty validation set")
     labels = np.array([i.label for i in instances])
     o_t = target_logits(target, instances)
     o_e = event_only_logits(event_only, instances)
-    best_beta, best_acc = grid[0], -1.0
-    for beta in grid:
+    best_beta, best_acc = None, -1.0
+    # The grid ascends, so keeping only strictly better values breaks ties low.
+    for beta in DEFAULT_BETA_GRID:
         acc = float(np.mean(np.argmax(debias(o_t, o_e, DebiasConfig(beta)), axis=1) == labels))
         if acc > best_acc:
             best_beta, best_acc = beta, acc
@@ -154,34 +138,22 @@ def sweep_beta(
 # report output
 
 
-def report_to_json(report: EvalReport) -> str:
-    """Deterministic JSON rendering (no timestamps; key order fixed)."""
-    payload = {
-        "accuracy": report.accuracy,
-        "per_class_f1": [[name, f1] for name, f1 in report.per_class_f1],
-        "confusion": report.confusion.tolist(),
-        "n_test": report.n_test,
-        "n_events": report.n_events,
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def report_to_text(report: EvalReport) -> str:
-    """Aligned plain-text table of the report."""
-    names = [name for name, _ in report.per_class_f1]
+def report_to_text(report: dict) -> str:
+    """Aligned plain-text table of an `evaluate` report."""
+    names = [name for name, _ in report["per_class_f1"]]
     width = max([len("class")] + [len(n) for n in names])
     lines = [f"{'class':<{width}}  {'f1':>6}"]
-    for name, f1 in report.per_class_f1:
+    for name, f1 in report["per_class_f1"]:
         lines.append(f"{name:<{width}}  {f1:6.3f}")
     lines.append("")
-    lines.append(f"accuracy  {report.accuracy:.3f}")
-    lines.append(f"n_test    {report.n_test}")
-    lines.append(f"n_events  {report.n_events}")
+    lines.append(f"accuracy  {report['accuracy']:.3f}")
+    lines.append(f"n_test    {report['n_test']}")
+    lines.append(f"n_events  {report['n_events']}")
     lines.append("")
     lines.append("confusion (rows = true, cols = predicted)")
-    cell = max(width, max(len(str(v)) for v in report.confusion.ravel()))
+    cell = max(width, max(len(str(v)) for row in report["confusion"] for v in row))
     header = " " * (width + 2) + "  ".join(f"{n:>{cell}}" for n in names)
     lines.append(header)
-    for name, row in zip(names, report.confusion):
+    for name, row in zip(names, report["confusion"]):
         lines.append(f"{name:<{width}}  " + "  ".join(f"{v:>{cell}}" for v in row))
     return "\n".join(lines) + "\n"

@@ -298,7 +298,7 @@ def test_ablate_scores_each_variant_as_eval_does():
     def eval_accuracy(model, ids, beta):
         insts = [by_id[i] for i in ids]
         predictions = predict(model, event_only, insts, DebiasConfig(beta=beta))
-        return evaluate(predictions, [i.label for i in insts], ds.class_names).accuracy
+        return evaluate(predictions, [i.label for i in insts], ds.class_names)["accuracy"]
 
     assert row["full"] == eval_accuracy(target, sep.test_ids, row["beta"])
     assert row["beta0"] == eval_accuracy(target, sep.test_ids, 0.0)
@@ -376,6 +376,33 @@ def test_diverged_run_prints_only_the_error_line(tmp_path, command):
                             text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
     assert result.returncode == 4
     assert result.stderr == "error: non-finite validation logits at epoch 0\n"
+
+
+@pytest.mark.parametrize("command", ["gen-synth", "eval", "predict"])
+def test_a_reader_that_closed_stdout_is_not_an_error(workspace, tmp_path, command):
+    # As in `fade predict ... | head -0`.  Without PYTHONUNBUFFERED stdout is
+    # block-buffered, so the output is still in the buffer when the command
+    # returns.
+    data = tmp_path / "d.jsonl"
+    run = ["--data", workspace["data"], "--split", workspace["manifest"],
+           "--run", workspace["run"], "--beta", "0"]
+    argv = {
+        "gen-synth": ["gen-synth", "--report", "--out", str(data), *FAST],
+        "eval": ["eval", *run],
+        "predict": ["predict", *run],
+    }[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "fade.cli", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, b"")
+    if command == "gen-synth":
+        assert len(load_dataset(data).instances) == 12 * 6
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])

@@ -16,7 +16,6 @@ from fade.inference import (
     evaluate,
     event_only_logits,
     predict,
-    report_to_json,
     report_to_text,
     sweep_beta,
     target_logits,
@@ -183,21 +182,21 @@ def test_predict_missing_event_label_rejected(trained):
 
 def test_evaluate_all_correct():
     report = evaluate([0, 1, 0, 1], [0, 1, 0, 1], ["a", "b"])
-    assert report.accuracy == 1.0
-    assert report.per_class_f1 == [("a", 1.0), ("b", 1.0)]
-    assert np.array_equal(report.confusion, [[2, 0], [0, 2]])
+    assert report["accuracy"] == 1.0
+    assert report["per_class_f1"] == [["a", 1.0], ["b", 1.0]]
+    assert report["confusion"] == [[2, 0], [0, 2]]
 
 
 def test_evaluate_all_predict_class_zero():
     report = evaluate([0, 0, 0, 0], [0, 0, 1, 1], ["a", "b"])
-    assert report.accuracy == 0.5
-    assert abs(report.per_class_f1[0][1] - 2.0 / 3.0) < 1e-12
-    assert report.per_class_f1[1][1] == 0.0
+    assert report["accuracy"] == 0.5
+    assert abs(report["per_class_f1"][0][1] - 2.0 / 3.0) < 1e-12
+    assert report["per_class_f1"][1][1] == 0.0
 
 
 def test_evaluate_absent_class_gets_zero_f1():
     report = evaluate([0, 1], [0, 1], ["a", "b", "c"])
-    assert report.per_class_f1[2] == ("c", 0.0)
+    assert report["per_class_f1"][2] == ["c", 0.0]
 
 
 def test_evaluate_matches_independent_tally():
@@ -205,10 +204,10 @@ def test_evaluate_matches_independent_tally():
     labels = rng.integers(0, 4, size=200)
     preds = rng.integers(0, 4, size=200)
     report = evaluate(preds, labels, ["w", "x", "y", "z"])
-    assert report.accuracy == float(np.mean(preds == labels))
+    assert report["accuracy"] == float(np.mean(preds == labels))
     for t in range(4):
         for p in range(4):
-            assert report.confusion[t, p] == int(np.sum((labels == t) & (preds == p)))
+            assert report["confusion"][t][p] == int(np.sum((labels == t) & (preds == p)))
     for c in range(4):
         tp = int(np.sum((preds == c) & (labels == c)))
         fp = int(np.sum((preds == c) & (labels != c)))
@@ -216,7 +215,7 @@ def test_evaluate_matches_independent_tally():
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        assert abs(report.per_class_f1[c][1] - f1) < 1e-12
+        assert abs(report["per_class_f1"][c][1] - f1) < 1e-12
 
 
 def test_evaluate_consistency_invariants():
@@ -224,15 +223,15 @@ def test_evaluate_consistency_invariants():
     labels = rng.integers(0, 3, size=60)
     preds = rng.integers(0, 3, size=60)
     report = evaluate(preds, labels, ["a", "b", "c"])
-    assert report.n_test == 60
+    assert report["n_test"] == 60
     for c in range(3):
-        assert report.confusion[c].sum() == int(np.sum(labels == c))
-    assert abs(report.accuracy - np.trace(report.confusion) / 60) < 1e-12
+        assert sum(report["confusion"][c]) == int(np.sum(labels == c))
+    assert abs(report["accuracy"] - np.trace(report["confusion"]) / 60) < 1e-12
 
 
 def test_evaluate_counts_events():
     report = evaluate([0, 0, 1], [0, 0, 1], ["a", "b"], events=["e1", "e1", "e2"])
-    assert report.n_events == 2
+    assert report["n_events"] == 2
 
 
 def test_evaluate_empty_rejected():
@@ -260,21 +259,17 @@ def test_evaluate_rejects_a_class_index_outside_the_names(predictions, labels, m
 # beta sweep
 
 
-def test_sweep_beta_single_element_grid(trained):
-    _, target, event_only, test_insts = trained
-    assert sweep_beta(target, event_only, test_insts, grid=[0.0]) == 0.0
-
-
 def test_sweep_beta_ties_break_low(trained):
-    # a grid of one repeated value exercises the tie rule trivially; a
-    # constant-zero event model makes every beta equivalent
+    # a constant-zero event model makes every beta on the grid equivalent, and
+    # the sweep walks the grid in order, so it must ascend
+    assert list(DEFAULT_BETA_GRID) == sorted(set(DEFAULT_BETA_GRID))
     ds, target, event_only, test_insts = trained
     zeroed = copy.deepcopy(event_only)
     zeroed.classifier.w[...] = 0.0
     zeroed.classifier.b[...] = 0.0
     for w in zeroed.encoder.layers:
         w[...] = 0.0
-    assert sweep_beta(target, zeroed, test_insts, grid=[0.7, 0.2, 0.9]) == 0.2
+    assert sweep_beta(target, zeroed, test_insts) == 0.0
 
 
 def test_sweep_beta_picks_strictly_better_element(trained):
@@ -286,7 +281,7 @@ def test_sweep_beta_picks_strictly_better_element(trained):
         beta: float(np.mean(np.argmax(o_t - beta * o_e, axis=1) == labels))
         for beta in DEFAULT_BETA_GRID
     }
-    best = sweep_beta(target, event_only, test_insts, grid=DEFAULT_BETA_GRID)
+    best = sweep_beta(target, event_only, test_insts)
     assert accs[best] == max(accs.values())
     for beta in sorted(accs):
         if accs[beta] == accs[best]:
@@ -301,16 +296,11 @@ def test_sweep_beta_deterministic(trained):
     assert a == b
 
 
-def test_sweep_beta_rejects_a_negative_grid_value_as_debias_does(trained):
+def test_sweep_beta_rejects_a_negative_grid_value_as_debias_does(trained, monkeypatch):
     _, target, event_only, test_insts = trained
+    monkeypatch.setattr("fade.inference.DEFAULT_BETA_GRID", (-0.1, 0.5))
     with pytest.raises(ValueError, match="beta must be finite and >= 0"):
-        sweep_beta(target, event_only, test_insts, grid=[-0.1, 0.5])
-
-
-def test_sweep_beta_empty_grid(trained):
-    _, target, event_only, test_insts = trained
-    with pytest.raises(ValueError):
-        sweep_beta(target, event_only, test_insts, grid=[])
+        sweep_beta(target, event_only, test_insts)
 
 
 def test_sweep_beta_empty_validation_set(trained):
@@ -330,13 +320,11 @@ def sample_report():
 
 def test_report_json_roundtrip_and_determinism():
     report = sample_report()
-    blob1 = report_to_json(report)
-    blob2 = report_to_json(report)
-    assert blob1 == blob2
-    data = json.loads(blob1)
-    assert set(data) == {"accuracy", "per_class_f1", "confusion", "n_test", "n_events"}
-    assert data["n_test"] == 6
-    assert data["confusion"] == report.confusion.tolist()
+    assert json.dumps(report) == json.dumps(sample_report())
+    assert json.loads(json.dumps(report)) == report
+    assert list(report) == ["accuracy", "per_class_f1", "confusion", "n_test", "n_events"]
+    assert report["n_test"] == 6
+    assert report["confusion"] == [[2, 1], [1, 2]]
 
 
 def test_report_text_contains_aligned_fields():
