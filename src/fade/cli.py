@@ -124,7 +124,7 @@ def _load_run(run_dir, ds, data_path):
         params = load_checkpoint(path)
         if params.kind != name:
             raise CheckpointError(f"{path} does not hold {name} predictor weights")
-        shape = (params.encoder.feature_dim, params.classifier.w.shape[1])
+        shape = (params.layers[0].shape[0], params.tensors["classifier.weight"].shape[1])
         if shape != (ds.feature_dim, ds.n_classes):
             raise DatasetError(
                 f"{path} takes {shape[0]} features and {shape[1]} classes, but "
@@ -270,11 +270,13 @@ def cmd_train(args) -> int:
             "event_only": event_log,
         },
     )
-    best_t = max(row["val_acc"] for row in target_log)
-    best_e = max(row["val_acc"] for row in event_log)
     print(f"trained both predictors in {elapsed:.1f}s -> {run}", file=sys.stderr)
-    print(f"target       best val_acc {best_t:.3f} over {len(target_log)} epochs")
-    print(f"event_only   best val_acc {best_e:.3f} over {len(event_log)} epochs")
+    for name, log in (("target", target_log), ("event_only", event_log)):
+        if manifest.val_ids:
+            best = max(row["val_acc"] for row in log)
+            print(f"{name:<12} best val_acc {best:.3f} over {len(log)} epochs")
+        else:
+            print(f"{name:<12} kept the last of {len(log)} epochs: no validation split")
     return 0
 
 

@@ -12,38 +12,18 @@ target and the event-only predictor, with independent weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Node, const, gcn_layer, segment_pool
 from .data import PropagationGraph
 
 __all__ = [
-    "EncoderParams",
     "encode_all",
     "encode_batch_node",
 ]
 
 POOLINGS = ("mean",)
 _CHUNK = 64  # graphs per encode_all batch; one batch per split costs 5-7 MB more peak
-
-
-@dataclass
-class EncoderParams:
-    """Stacked layer weights plus the pooling choice; ``predictors._new_model``,
-    ``load_checkpoint``, ``gcn_layer`` and ``encode_batch_node`` check them."""
-
-    layers: list[np.ndarray]
-    pooling: str = "mean"
-
-    @property
-    def feature_dim(self) -> int:
-        return self.layers[0].shape[0]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.layers[-1].shape[1]
 
 
 def _degree_buckets(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> list[tuple]:
@@ -91,16 +71,18 @@ def encode_batch_node(
     return segment_pool(h, sizes)
 
 
-def encode_all(params: EncoderParams, graphs: list[PropagationGraph]) -> np.ndarray:
+def encode_all(
+    layers: list[np.ndarray], graphs: list[PropagationGraph], pooling: str
+) -> np.ndarray:
     """Value-only representations for many graphs, stacked as rows.
 
     Processed in chunks of ``_CHUNK`` graphs to bound each batch's size.
     """
-    nodes = [const(w) for w in params.layers]
+    nodes = [const(w) for w in layers]
     rows = []
     for start in range(0, len(graphs), _CHUNK):
         part = graphs[start : start + _CHUNK]
-        rows.append(encode_batch_node(nodes, part, params.pooling).value)
+        rows.append(encode_batch_node(nodes, part, pooling).value)
     if not rows:
-        return np.zeros((0, params.hidden_dim))
+        return np.zeros((0, layers[-1].shape[1]))
     return np.vstack(rows)

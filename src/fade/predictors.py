@@ -22,11 +22,9 @@ from . import autodiff as ad
 from .autodiff import Node, TrainingError
 from .augmentation import AugmentationContext, augment, compute_radius
 from .data import Dataset, NewsInstance, atomic_write, event_groups
-from .encoder import POOLINGS, EncoderParams, encode_all, encode_batch_node
+from .encoder import POOLINGS, encode_all, encode_batch_node
 
 __all__ = [
-    "AffineParams",
-    "ProjectionParams",
     "TargetPredictorParams",
     "EventOnlyPredictorParams",
     "Hyperparams",
@@ -45,50 +43,34 @@ __all__ = [
 
 
 @dataclass
-class AffineParams:
-    """Single affine layer: x @ w + b."""
+class _Predictor:
+    """A model: its checkpoint's named tensors, in `_layout` order, and its pooling."""
 
-    w: np.ndarray
-    b: np.ndarray
+    tensors: dict[str, np.ndarray]
+    pooling: str = "mean"
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.w + self.b
+    @property
+    def layers(self) -> list[np.ndarray]:
+        """The encoder's weights, in order."""
+        return [t for name, t in self.tensors.items() if name.startswith("encoder.layer.")]
 
-
-@dataclass
-class ProjectionParams:
-    """Two-layer MLP with a relu between."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    def classify(self, reps: np.ndarray) -> np.ndarray:
+        return reps @ self.tensors["classifier.weight"] + self.tensors["classifier.bias"]
 
 
-@dataclass
-class TargetPredictorParams:
+class TargetPredictorParams(_Predictor):
+    """Encoder, classifier and projection head."""
+
     kind: ClassVar[str] = "target"
-    encoder: EncoderParams
-    classifier: AffineParams
-    projection: ProjectionParams
-
-    def named_tensors(self) -> dict[str, np.ndarray]:
-        out = _base_tensors(self.encoder, self.classifier)
-        out["projection.w1"] = self.projection.w1
-        out["projection.b1"] = self.projection.b1
-        out["projection.w2"] = self.projection.w2
-        out["projection.b2"] = self.projection.b2
-        return out
 
 
-@dataclass
-class EventOnlyPredictorParams:
+class EventOnlyPredictorParams(_Predictor):
+    """Encoder and classifier."""
+
     kind: ClassVar[str] = "event_only"
-    encoder: EncoderParams
-    classifier: AffineParams
 
-    def named_tensors(self) -> dict[str, np.ndarray]:
-        return _base_tensors(self.encoder, self.classifier)
+
+_KINDS = {cls.kind: cls for cls in (TargetPredictorParams, EventOnlyPredictorParams)}
 
 
 @dataclass
@@ -126,36 +108,33 @@ class ArchConfig:
             raise ValueError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
 
 
-def _base_tensors(enc: EncoderParams, clf: AffineParams) -> dict[str, np.ndarray]:
-    """Encoder and classifier tensors, in checkpoint order."""
-    out = {f"encoder.layer.{i}": layer for i, layer in enumerate(enc.layers)}
-    out["classifier.weight"] = clf.w
-    out["classifier.bias"] = clf.b
-    return out
+def _layout(kind: str, feature_dim: int, n_classes: int, arch: ArchConfig) -> list[tuple]:
+    """Every tensor of a ``kind`` model as ``(name, shape, init scale)``.
 
-
-def _new_model(kind: str, feature_dim: int, n_classes: int, arch: ArchConfig, rng):
-    """A fresh model of ``kind``: the one statement of every tensor's shape and init.
-
-    Draws from ``rng`` in this order: the He-initialized encoder layers, the
-    classifier weight, then (target only) the projection weights.  Biases
-    are zeros.
+    The one statement of a model, in checkpoint and draw order: the
+    He-initialized encoder layers, the classifier, then (target only) the
+    projection head.  A weight is drawn N(0, scale^2); a bias, scale 0, is zeros.
     """
     arch.validate()
     if feature_dim < 1 or n_classes < 1:
         raise ValueError(f"feature_dim and n_classes must be >= 1, got {feature_dim}, {n_classes}")
     h, p = arch.hidden_dim, arch.proj_dim
     dims = [feature_dim] + [h] * arch.n_layers
-    layers = [rng.normal(0.0, np.sqrt(2.0 / d_in), (d_in, d_out))
-              for d_in, d_out in zip(dims, dims[1:])]
-    encoder = EncoderParams(layers, arch.pooling)
-    classifier = AffineParams(rng.normal(0.0, np.sqrt(1.0 / h), (h, n_classes)),
-                              np.zeros((1, n_classes)))
-    if kind == "event_only":
-        return EventOnlyPredictorParams(encoder, classifier)
-    return TargetPredictorParams(encoder, classifier, ProjectionParams(
-        rng.normal(0.0, np.sqrt(2.0 / h), (h, p)), np.zeros((1, p)),
-        rng.normal(0.0, np.sqrt(2.0 / p), (p, p)), np.zeros((1, p))))
+    layout = [(f"encoder.layer.{i}", (d_in, d_out), np.sqrt(2.0 / d_in))
+              for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))]
+    layout += [("classifier.weight", (h, n_classes), np.sqrt(1.0 / h)),
+               ("classifier.bias", (1, n_classes), 0.0)]
+    if kind == "target":
+        layout += [("projection.w1", (h, p), np.sqrt(2.0 / h)), ("projection.b1", (1, p), 0.0),
+                   ("projection.w2", (p, p), np.sqrt(2.0 / p)), ("projection.b2", (1, p), 0.0)]
+    return layout
+
+
+def _new_model(kind: str, feature_dim: int, n_classes: int, arch: ArchConfig, rng):
+    """A fresh model of ``kind``, its weights drawn from ``rng`` in `_layout` order."""
+    tensors = {name: rng.normal(0.0, scale, shape) if scale else np.zeros(shape)
+               for name, shape, scale in _layout(kind, feature_dim, n_classes, arch)}
+    return _KINDS[kind](tensors, arch.pooling)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +192,7 @@ def _projection_node(x: Node, p: dict[str, Node]) -> Node:
 
 
 def target_logits(params: TargetPredictorParams, instances: list[NewsInstance]) -> np.ndarray:
-    reps = encode_all(params.encoder, [i.graph for i in instances])
-    return params.classifier.apply(reps)
+    return params.classify(encode_all(params.layers, [i.graph for i in instances], params.pooling))
 
 
 def event_only_logits(
@@ -224,9 +202,8 @@ def event_only_logits(
     for inst in instances:
         if not inst.event:
             raise ValueError(f"instance {inst.id!r} has no event label")
-    reps = encode_all(params.encoder, [i.graph for i in instances])
-    pooled = event_mean_pool(reps, [i.event for i in instances])
-    return params.classifier.apply(pooled)
+    reps = encode_all(params.layers, [i.graph for i in instances], params.pooling)
+    return params.classify(event_mean_pool(reps, [i.event for i in instances]))
 
 
 def _event_batches(insts: list[NewsInstance], batch_size: int, rng) -> list[list[int]]:
@@ -279,7 +256,7 @@ def _fit(params, hyper: Hyperparams, n_train: int, val, forward, epoch_batches, 
     The nodes wrap the parameter arrays themselves, so Adam's in-place
     updates are what ``params`` holds.
     """
-    nodes = {name: ad.param(tensor) for name, tensor in params.named_tensors().items()}
+    nodes = {name: ad.param(tensor) for name, tensor in params.tensors.items()}
     ordered = sorted(nodes)
     arrays = [nodes[n].value for n in ordered]
     state = ad.adam_init(arrays)
@@ -345,7 +322,7 @@ def train_target(
 
     def epoch_batches(epoch):
         if hyper.alpha > 0:
-            radius = compute_radius(encode_all(params.encoder, graphs))
+            radius = compute_radius(encode_all(params.layers, graphs, arch.pooling))
             if not np.isfinite(radius):
                 raise TrainingError(f"non-finite augmentation radius at epoch {epoch}")
             ctx.radius = radius
@@ -359,7 +336,7 @@ def train_target(
         loss_ce = ce_loss(logits, [train[i].label for i in idx])
         if hyper.alpha == 0:
             return loss_ce, float(loss_ce.value[0, 0]), 0.0
-        augmented = np.vstack([augment(r, ctx, params.classifier.apply, train[i].label,
+        augmented = np.vstack([augment(r, ctx, params.classify, train[i].label,
                                        sample_id=train[i].id, epoch=epoch)
                                for r, i in zip(r_original.value, idx)])
         r_augmented = ad.add(r_original, ad.const(augmented - r_original.value))
@@ -416,15 +393,17 @@ def save_checkpoint(params, path) -> None:
     """Uncompressed ``.npz`` archive: 0-d strings ``kind`` and ``pooling``, then
     every named tensor as float64.  The zip container keeps a CRC-32 per member."""
     with atomic_write(path, binary=True) as fh:
-        tensors = {n: np.asarray(t, dtype=np.float64) for n, t in params.named_tensors().items()}
-        np.savez(fh, kind=params.kind, pooling=params.encoder.pooling, **tensors)
+        tensors = {n: np.asarray(t, dtype=np.float64) for n, t in params.tensors.items()}
+        np.savez(fh, kind=params.kind, pooling=params.pooling, **tensors)
 
 
 def load_checkpoint(path):
     """Read a checkpoint back into the parameter class its ``kind`` names.
 
-    Anything wrong with the file's contents raises CheckpointError naming the
-    file; every member is read whole, so a flipped bit fails its CRC-32.
+    The file's tensors are checked against the `_layout` of the model its
+    own shapes declare, and returned; no model is drawn.  Anything wrong with
+    the file's contents raises CheckpointError naming the file; every member
+    is read whole, so a flipped bit fails its CRC-32.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -439,31 +418,31 @@ def load_checkpoint(path):
     except Exception as e:  # the bytes are in memory, so any failure is a corrupt file
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
     kind, pooling = str(t.pop("kind", None)), str(t.pop("pooling", None))
-    if kind not in ("target", "event_only"):
+    if kind not in _KINDS:
         raise CheckpointError(f"corrupt checkpoint {path}: unknown kind {kind!r}")
     for name, tensor in t.items():
         if not (isinstance(tensor, np.ndarray) and tensor.ndim == 2 and tensor.dtype == np.float64):
             raise CheckpointError(f"corrupt checkpoint {path}: {name} is not a 2-D float64 array")
+        if not np.isfinite(tensor).all():
+            raise CheckpointError(f"corrupt checkpoint {path}: {name} holds a non-finite value")
     # The file must hold exactly the tensors of a model of its own dimensions.
     # A dimension whose tensor is missing reads 1; the comparison reports the tensor.
     shape = {name: tensor.shape for name, tensor in t.items()}
     f, h = shape.get("encoder.layer.0", (1, 1))
     n_layers = max(1, sum(name.startswith("encoder.layer.") for name in t))
     c, p = shape.get("classifier.weight", (1, 1))[1], shape.get("projection.w1", (1, 1))[1]
-    arch = ArchConfig(h, n_layers, pooling, p)
     try:
-        params = _new_model(kind, f, c, arch, np.random.default_rng(0))
+        layout = _layout(kind, f, c, ArchConfig(h, n_layers, pooling, p))
     except ValueError as e:  # a bad pooling name or a zero dimension
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
-    tensors = params.named_tensors()
-    extra = sorted(set(t) - set(tensors))
+    extra = sorted(set(t) - {name for name, _, _ in layout})
     if extra:
         raise CheckpointError(f"corrupt checkpoint {path}: unexpected tensors {extra}")
-    for name, tensor in tensors.items():
+    for name, expected, _ in layout:
         if name not in t:
             raise CheckpointError(f"corrupt checkpoint {path}: missing tensor {name!r}")
-        if shape[name] != tensor.shape:
+        if shape[name] != expected:
             raise CheckpointError(f"corrupt checkpoint {path}: {name} has shape "
-                                  f"{shape[name]}, expected {tensor.shape}")
-        tensor[...] = t[name]
-    return params
+                                  f"{shape[name]}, expected {expected}")
+    # An .npz member may be stored in Fortran order; the model holds C order.
+    return _KINDS[kind]({name: np.ascontiguousarray(t[name]) for name, _, _ in layout}, pooling)

@@ -97,6 +97,19 @@ def test_train_writes_checkpoints_and_log(workspace):
         assert set(rows[0]) == {"epoch", "loss_ce", "loss_cl", "loss_total", "val_acc"}
 
 
+def test_train_without_a_validation_split_says_it_kept_the_last_epoch(workspace, tmp_path, capsys):
+    manifest = tmp_path / "no_val.json"
+    assert main(["split", "--data", workspace["data"], "--seed", "5", "--out", str(manifest),
+                 "--set", "val_fraction=0"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", workspace["data"], "--split", str(manifest),
+                 "--out", str(tmp_path / "run"), *FAST]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "target       kept the last of 3 epochs: no validation split",
+        "event_only   kept the last of 3 epochs: no validation split",
+    ]
+
+
 def test_eval_writes_report_json(workspace, tmp_path, capsys):
     out = tmp_path / "r.json"
     rc = main(["eval", "--data", workspace["data"], "--split", workspace["manifest"],
@@ -460,8 +473,8 @@ def test_train_worker_matches_serial_trainers(workspace):
     run = Path(workspace["run"])
     log = json.loads((run / "log.json").read_text())
     for name, (params, rows) in fits.items():
-        saved = load_checkpoint(run / f"{name}.ckpt").named_tensors()
-        expected = params.named_tensors()
+        saved = load_checkpoint(run / f"{name}.ckpt").tensors
+        expected = params.tensors
         assert list(saved) == list(expected), name
         for key, tensor in expected.items():
             assert np.array_equal(saved[key], tensor), key
@@ -633,9 +646,13 @@ def test_corrupt_checkpoint_exits_3(workspace, tmp_path, capsys):
     target = load_checkpoint(workspace["root"] / "run" / "target.ckpt")
     # A well-formed archive holding the removed `add` pooling.
     add_pooling = io.BytesIO()
-    np.savez(add_pooling, kind="target", pooling="add", **target.named_tensors())
+    np.savez(add_pooling, kind="target", pooling="add", **target.tensors)
+    # A well-formed archive whose classifier weight is NaN, which training never writes.
+    nan = np.full_like(target.tensors["classifier.weight"], np.nan)
+    nan_weight = replace(target, tensors={**target.tensors, "classifier.weight": nan})
+    save_checkpoint(nan_weight, tmp_path / "nan_weight.ckpt")
     # A well-formed archive whose classifier bias has one class fewer than its weight.
-    target.classifier.b = target.classifier.b[:, 1:]
+    target.tensors["classifier.bias"] = target.tensors["classifier.bias"][:, 1:]
     save_checkpoint(target, tmp_path / "short_bias.ckpt")
     # The first byte of classifier.weight's data, after its .npy header line.
     data_byte = blob.index(b"\n", blob.index(b"NUMPY", blob.index(b"classifier.weight"))) + 1
@@ -646,6 +663,7 @@ def test_corrupt_checkpoint_exits_3(workspace, tmp_path, capsys):
         b"FADE" + (1).to_bytes(4, "little") + blob[8:],
         (tmp_path / "short_bias.ckpt").read_bytes(),
         add_pooling.getvalue(),
+        (tmp_path / "nan_weight.ckpt").read_bytes(),
     ]
     for n, bad_blob in enumerate(inputs):
         bad = tmp_path / f"badrun{n}"

@@ -388,13 +388,6 @@ class TestIO:
                 assert not not_utf8
 
 
-class _FailingParams(EventOnlyPredictorParams):
-    """Event-only weights plus a last tensor that cannot be encoded as float64."""
-
-    def named_tensors(self):
-        return {**super().named_tensors(), "b": np.array([["not a number"]], dtype=object)}
-
-
 def _dataset_failing_at_second_instance():
     bad = make_instance("b", dim=4)
     bad.graph.x = np.array([[0.5] * 3 + [object()]] * 3, dtype=object)
@@ -409,15 +402,14 @@ def _write_dataset(path, fail):
 
 
 def _write_checkpoint(path, fail):
-    from fade.encoder import EncoderParams
-    from fade.predictors import AffineParams, save_checkpoint
+    from fade.predictors import save_checkpoint
 
     rng = np.random.default_rng(0)
-    params = (_FailingParams if fail else EventOnlyPredictorParams)(
-        encoder=EncoderParams([rng.normal(size=(3, 4))]),
-        classifier=AffineParams(w=rng.normal(size=(4, 2)), b=np.zeros((1, 2))),
-    )
-    save_checkpoint(params, path)
+    tensors = {"encoder.layer.0": rng.normal(size=(3, 4)),
+               "classifier.weight": rng.normal(size=(4, 2)), "classifier.bias": np.zeros((1, 2))}
+    if fail:  # a last tensor that cannot be encoded as float64
+        tensors["b"] = np.array([["not a number"]], dtype=object)
+    save_checkpoint(EventOnlyPredictorParams(tensors), path)
 
 
 def _write_manifest(path, fail):

@@ -6,7 +6,7 @@ import pytest
 import fade.encoder
 from fade.autodiff import ShapeError, backward, param, sum_all
 from fade.data import PropagationGraph
-from fade.encoder import EncoderParams, encode_all, encode_batch_node
+from fade.encoder import encode_all, encode_batch_node
 
 
 def random_tree(rng, n, dim):
@@ -16,8 +16,7 @@ def random_tree(rng, n, dim):
 
 def random_encoder(feature_dim, hidden_dim, n_layers, rng):
     dims = [feature_dim] + [hidden_dim] * n_layers
-    return EncoderParams([rng.normal(0.0, np.sqrt(2.0 / a), (a, b))
-                          for a, b in zip(dims, dims[1:])])
+    return [rng.normal(0.0, np.sqrt(2.0 / a), (a, b)) for a, b in zip(dims, dims[1:])]
 
 
 def brute_force_encode(layers, g):
@@ -38,28 +37,27 @@ class TestEncode:
     def test_single_node_identity_weights(self):
         x = np.array([[0.5, -2.0, 3.0]])
         g = PropagationGraph(n=1, x=x, edges=[])
-        params = EncoderParams(layers=[np.eye(3)], pooling="mean")
-        rep = encode_all(params, [g])
+        rep = encode_all([np.eye(3)], [g], "mean")
         assert np.allclose(rep, np.maximum(x, 0.0), atol=1e-15)
 
     def test_zero_features_give_zero_representation(self):
         rng = np.random.default_rng(0)
         g = PropagationGraph(n=4, x=np.zeros((4, 5)), edges=[(0, 1), (0, 2), (2, 3)])
-        params = random_encoder(5, 8, 2, rng)
-        assert np.array_equal(encode_all(params, [g]), np.zeros((1, 8)))
+        layers = random_encoder(5, 8, 2, rng)
+        assert np.array_equal(encode_all(layers, [g], "mean"), np.zeros((1, 8)))
 
     def test_path_graph_matches_brute_force(self):
         rng = np.random.default_rng(1)
         g = PropagationGraph(n=3, x=rng.normal(size=(3, 4)), edges=[(0, 1), (1, 2)])
-        params = random_encoder(4, 6, 2, rng)
-        expected = brute_force_encode(params.layers, g)
-        assert np.max(np.abs(encode_all(params, [g]) - expected)) < 1e-10
+        layers = random_encoder(4, 6, 2, rng)
+        expected = brute_force_encode(layers, g)
+        assert np.max(np.abs(encode_all(layers, [g], "mean") - expected)) < 1e-10
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         g = random_tree(rng, 6, 4)
-        params = random_encoder(4, 8, 2, rng)
-        base = encode_all(params, [g])
+        layers = random_encoder(4, 8, 2, rng)
+        base = encode_all(layers, [g], "mean")
 
         perm = rng.permutation(6)
         inv = np.argsort(perm)
@@ -67,31 +65,29 @@ class TestEncode:
         x2 = g.x[inv]
         edges2 = [(int(perm[p]), int(perm[c])) for p, c in g.edges]
         g2 = PropagationGraph(n=6, x=x2, edges=edges2)
-        assert np.max(np.abs(encode_all(params, [g2]) - base)) < 1e-9
+        assert np.max(np.abs(encode_all(layers, [g2], "mean") - base)) < 1e-9
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         g = random_tree(rng, 5, 4)
-        params = random_encoder(4, 8, 2, rng)
-        assert np.array_equal(encode_all(params, [g]), encode_all(params, [g]))
+        layers = random_encoder(4, 8, 2, rng)
+        assert np.array_equal(encode_all(layers, [g], "mean"), encode_all(layers, [g], "mean"))
 
     def test_dimension_mismatch_raises(self):
         g = PropagationGraph(n=2, x=np.zeros((2, 3)), edges=[(0, 1)])
-        params = EncoderParams(layers=[np.zeros((4, 8))])
         with pytest.raises(ShapeError):
-            encode_all(params, [g])
+            encode_all([np.zeros((4, 8))], [g], "mean")
 
     def test_bad_layer_chain_rejected(self):
         g = PropagationGraph(n=2, x=np.zeros((2, 3)), edges=[(0, 1)])
-        params = EncoderParams(layers=[np.zeros((3, 8)), np.zeros((7, 8))])
         with pytest.raises(ShapeError, match=r"\(2, 8\) vs \(7, 8\)"):
-            encode_all(params, [g])
+            encode_all([np.zeros((3, 8)), np.zeros((7, 8))], [g], "mean")
 
     def test_add_pooling_is_rejected(self):
         g = PropagationGraph(n=2, x=np.zeros((2, 3)), edges=[(0, 1)])
         layers = [np.zeros((3, 8))]
         with pytest.raises(ValueError, match="pooling must be one of"):
-            encode_all(EncoderParams(layers, "add"), [g])
+            encode_all(layers, [g], "add")
         with pytest.raises(ValueError, match="pooling must be one of"):
             encode_batch_node([param(layers[0])], [g], "add")
 
@@ -100,12 +96,12 @@ class TestBatched:
     def test_batched_matches_per_instance(self, monkeypatch):
         rng = np.random.default_rng(4)
         graphs = [random_tree(rng, int(rng.integers(1, 7)), 4) for _ in range(9)]
-        params = random_encoder(4, 8, 2, rng)
-        whole = encode_all(params, graphs)
+        layers = random_encoder(4, 8, 2, rng)
+        whole = encode_all(layers, graphs, "mean")
         monkeypatch.setattr(fade.encoder, "_CHUNK", 4)
-        batched = encode_all(params, graphs)
+        batched = encode_all(layers, graphs, "mean")
         assert np.array_equal(batched, whole)
-        singles = np.vstack([encode_all(params, [g]) for g in graphs])
+        singles = np.vstack([encode_all(layers, [g], "mean") for g in graphs])
         many = np.array([g.n > 1 for g in graphs])
         assert np.array_equal(batched[many], singles[many])
         # A lone 1-node graph is a one-row batch, whose products numpy hands
@@ -114,15 +110,15 @@ class TestBatched:
         assert np.allclose(batched[~many], singles[~many], rtol=0, atol=1e-14)
 
     def test_empty_batch(self):
-        params = random_encoder(4, 8, 2, np.random.default_rng(0))
-        assert encode_all(params, []).shape == (0, 8)
+        layers = random_encoder(4, 8, 2, np.random.default_rng(0))
+        assert encode_all(layers, [], "mean").shape == (0, 8)
 
     def test_adjacency_built_once_per_graph(self, monkeypatch):
         import fade.data
 
         rng = np.random.default_rng(6)
         graphs = [random_tree(rng, int(rng.integers(1, 7)), 4) for _ in range(5)]
-        params = random_encoder(4, 8, 2, rng)
+        layers = random_encoder(4, 8, 2, rng)
         calls = []
         original = fade.data.adjacency_entries
 
@@ -134,8 +130,8 @@ class TestBatched:
         # the encoder never forms the dense adjacency
         monkeypatch.setattr(fade.data, "normalized_adjacency", None)
         monkeypatch.setattr(fade.encoder, "_CHUNK", 2)
-        first = encode_all(params, graphs)
-        second = encode_all(params, graphs)
+        first = encode_all(layers, graphs, "mean")
+        second = encode_all(layers, graphs, "mean")
         assert len(calls) == len(graphs)
         assert np.array_equal(first, second)
         for g in graphs:

@@ -123,8 +123,8 @@ def test_predict_singleton_event_pools_itself(trained):
     ds, target, event_only, test_insts = trained
     one = test_insts[0]
     o_e = event_only_logits(event_only, [one])
-    rep = encode_all(event_only.encoder, [one.graph])
-    assert np.max(np.abs(o_e - event_only.classifier.apply(rep))) < 1e-12
+    rep = encode_all(event_only.layers, [one.graph], event_only.pooling)
+    assert np.max(np.abs(o_e - event_only.classify(rep))) < 1e-12
 
 
 def test_event_pooling_is_shared_within_event(trained):
@@ -265,9 +265,7 @@ def test_sweep_beta_ties_break_low(trained):
     assert list(DEFAULT_BETA_GRID) == sorted(set(DEFAULT_BETA_GRID))
     ds, target, event_only, test_insts = trained
     zeroed = copy.deepcopy(event_only)
-    zeroed.classifier.w[...] = 0.0
-    zeroed.classifier.b[...] = 0.0
-    for w in zeroed.encoder.layers:
+    for w in zeroed.tensors.values():
         w[...] = 0.0
     assert sweep_beta(target, zeroed, test_insts) == 0.0
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -303,7 +304,7 @@ def test_train_target_same_seed_identical():
     p1, log1 = train_target(ds, train, val, hp, seed=9, arch=SMALL)
     p2, log2 = train_target(ds, train, val, hp, seed=9, arch=SMALL)
     assert log1 == log2
-    for a, b in zip(p1.named_tensors().values(), p2.named_tensors().values()):
+    for a, b in zip(p1.tensors.values(), p2.tensors.values()):
         assert np.array_equal(a, b)
 
 
@@ -367,7 +368,7 @@ def test_train_target_different_seeds_differ():
     hp = Hyperparams(alpha=0.3, epochs=2, batch_size=8)
     p1, _ = train_target(ds, train, val, hp, seed=1, arch=SMALL)
     p2, _ = train_target(ds, train, val, hp, seed=2, arch=SMALL)
-    assert not np.array_equal(p1.classifier.w, p2.classifier.w)
+    assert not np.array_equal(p1.tensors["classifier.weight"], p2.tensors["classifier.weight"])
 
 
 def test_train_target_alpha_zero_is_plain_ce():
@@ -428,7 +429,7 @@ def check_returns_best_validation_params(trainer, forward):
     accs = [row["val_acc"] for row in log]
     assert max(accs) > accs[-1]
     val_insts = [ds.by_id()[i] for i in val]
-    reps = encode_all(params.encoder, [i.graph for i in val_insts])
+    reps = encode_all(params.layers, [i.graph for i in val_insts], params.pooling)
     preds = np.argmax(forward(params, reps, [i.event for i in val_insts]), axis=1)
     acc = float(np.mean(preds == [i.label for i in val_insts]))
     assert abs(acc - max(accs)) < 1e-12
@@ -436,14 +437,14 @@ def check_returns_best_validation_params(trainer, forward):
 
 def test_train_target_returns_best_validation_params():
     check_returns_best_validation_params(
-        train_target, lambda params, reps, events: params.classifier.apply(reps)
+        train_target, lambda params, reps, events: params.classify(reps)
     )
 
 
 def test_train_event_only_returns_best_validation_params():
     check_returns_best_validation_params(
         train_event_only,
-        lambda params, reps, events: params.classifier.apply(event_mean_pool(reps, events)),
+        lambda params, reps, events: params.classify(event_mean_pool(reps, events)),
     )
 
 
@@ -612,7 +613,7 @@ def test_train_event_only_same_seed_identical():
     p1, log1 = train_event_only(ds, train, val, hp, seed=5, arch=SMALL)
     p2, log2 = train_event_only(ds, train, val, hp, seed=5, arch=SMALL)
     assert log1 == log2
-    for a, b in zip(p1.named_tensors().values(), p2.named_tensors().values()):
+    for a, b in zip(p1.tensors.values(), p2.tensors.values()):
         assert np.array_equal(a, b)
 
 
@@ -664,8 +665,21 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, kind, n_layers):
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     assert type(loaded) is type(params)
-    assert loaded.encoder.pooling == params.encoder.pooling
+    assert loaded.pooling == params.pooling
     assert tensor_bytes(loaded) == tensor_bytes(params)
+
+
+def test_checkpoint_loads_fortran_order_members_in_c_order(tmp_path):
+    # An .npz member may be stored in Fortran order; saving one back unchanged
+    # would then write other bytes.
+    target, _ = trained_pair(tmp_path)
+    path = tmp_path / "fortran.ckpt"
+    with path.open("wb") as fh:
+        np.savez(fh, kind="target", pooling="mean",
+                 **{name: np.asfortranarray(t) for name, t in target.tensors.items()})
+    loaded = load_checkpoint(path)
+    assert all(t.flags.c_contiguous for t in loaded.tensors.values())
+    assert tensor_bytes(loaded) == tensor_bytes(target)
 
 
 def test_checkpoint_with_add_pooling_is_rejected(tmp_path):
@@ -673,7 +687,7 @@ def test_checkpoint_with_add_pooling_is_rejected(tmp_path):
     target, _ = trained_pair(tmp_path)
     path = tmp_path / "add.ckpt"
     with path.open("wb") as fh:
-        np.savez(fh, kind="target", pooling="add", **target.named_tensors())
+        np.savez(fh, kind="target", pooling="add", **target.tensors)
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
     assert str(exc.value) == (
@@ -689,10 +703,11 @@ def test_checkpoint_with_add_pooling_is_rejected(tmp_path):
     ("broken chain", "encoder.layer.1 has shape (7, 8), expected (8, 8)"),
     ("gapped layers", "unexpected tensors ['encoder.layer.2']"),
     ("no features", "feature_dim and n_classes must be >= 1, got 0, 2"),
+    ("non-finite", "classifier.weight holds a non-finite value"),
 ])
 def test_checkpoint_with_a_bad_member_is_rejected_naming_the_file(tmp_path, fault, message):
     target, _ = trained_pair(tmp_path)
-    members = {"kind": "target", "pooling": "mean", **target.named_tensors()}
+    members = {"kind": "target", "pooling": "mean", **target.tensors}
     if fault == "kind":
         members["kind"] = "bogus"
     elif fault == "1-D bias":
@@ -705,6 +720,8 @@ def test_checkpoint_with_a_bad_member_is_rejected_naming_the_file(tmp_path, faul
         members["encoder.layer.2"] = members.pop("encoder.layer.1")
     elif fault == "no features":
         members["encoder.layer.0"] = np.zeros((0, 8))
+    elif fault == "non-finite":
+        members["classifier.weight"] = np.full_like(members["classifier.weight"], np.nan)
     else:
         members = {k: v for k, v in members.items() if not k.startswith("encoder.layer.")}
     path = tmp_path / "bad.ckpt"
@@ -713,6 +730,27 @@ def test_checkpoint_with_a_bad_member_is_rejected_naming_the_file(tmp_path, faul
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
     assert str(exc.value) == f"corrupt checkpoint {path}: {message}"
+
+
+def test_checkpoint_loading_allocates_no_more_than_the_file_holds(tmp_path):
+    # A 74 KB file whose first layer declares a 3000-wide hidden layer: the
+    # second layer it should then hold is 72 MB, and loading must not make one.
+    path = tmp_path / "wide.ckpt"
+    with path.open("wb") as fh:
+        np.savez(fh, kind="event_only", pooling="mean",
+                 **{"encoder.layer.0": np.zeros((1, 3000)), "encoder.layer.1": np.zeros((1, 1)),
+                    "classifier.weight": np.zeros((3000, 2)), "classifier.bias": np.zeros((1, 2))})
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (
+        f"corrupt checkpoint {path}: encoder.layer.1 has shape (1, 1), expected (3000, 3000)"
+    )
+    assert peak < 4e6
 
 
 def test_checkpoint_missing_file(tmp_path):
@@ -741,7 +779,7 @@ def flip(blob: bytes, offset: int, bits: int) -> bytes:
 
 
 def tensor_bytes(params) -> dict:
-    return {name: (t.shape, t.tobytes()) for name, t in params.named_tensors().items()}
+    return {name: (t.shape, t.tobytes()) for name, t in params.tensors.items()}
 
 
 def test_checkpoint_truncated(tmp_path):
@@ -770,7 +808,7 @@ def test_checkpoint_bit_flips_fail_or_change_nothing(tmp_path):
             assert "flip.ckpt" in str(e)
             continue
         assert isinstance(params, TargetPredictorParams), offset
-        assert params.encoder.pooling == target.encoder.pooling, offset
+        assert params.pooling == target.pooling, offset
         assert tensor_bytes(params) == expected, offset
 
 
@@ -792,7 +830,7 @@ def test_checkpoint_shrunk_shape_fails_crc(tmp_path):
 
 def test_checkpoint_missing_tensor(tmp_path):
     target, _ = trained_pair(tmp_path)
-    tensors = target.named_tensors()
+    tensors = dict(target.tensors)
     del tensors["classifier.bias"]
     path = tmp_path / "partial.ckpt"
     with path.open("wb") as fh:
@@ -814,7 +852,7 @@ def test_checkpoint_missing_tensor(tmp_path):
 ])
 def test_checkpoint_head_that_does_not_chain_onto_the_encoder(tmp_path, kind, name, shape):
     target, event = trained_pair(tmp_path)
-    tensors = (target if kind == "target" else event).named_tensors()
+    tensors = dict((target if kind == "target" else event).tensors)
     tensors[name] = np.zeros(shape)
     path = tmp_path / "heads.ckpt"
     with path.open("wb") as fh:
