@@ -3,12 +3,13 @@
 Values are 2-D float64 numpy arrays ("matrices"); every operation returns a
 new :class:`Node` that pairs each of its inputs with that input's
 vector-Jacobian product: a function from the output's gradient to the
-input's share of it.  Ops only compute; :func:`backward` alone adds each
-share into its input's ``grad``.  The engine is deliberately small: just
-enough ops for a GCN encoder and linear heads, plus the two pieces the
-training losses need, softmax cross-entropy and row normalization.  Each of
-those is one node with a hand-written gradient rather than a composition of
-elementwise exp/log ops.
+input's share of it.  Ops only compute; :func:`backward` alone writes the
+shares: an op node gets its ``grad`` when backward first reaches it, as a
+copy of the first share, and later shares are added to it.  The engine is
+deliberately small: just enough ops for a GCN encoder and linear heads, plus
+the two pieces the training losses need, softmax cross-entropy and row
+normalization.  Each of those is one node with a hand-written gradient
+rather than a composition of elementwise exp/log ops.
 """
 
 from __future__ import annotations
@@ -69,18 +70,19 @@ class Node:
 
     ``parents`` holds ``(input, vjp)`` pairs in the op's input order, where
     ``vjp(g)`` is the input's share of the gradient when this node's is
-    ``g``; leaves have none.  Only parameters and the nodes they reach carry
-    a gradient, so a parameter is exactly a leaf whose ``grad`` is set; for
-    the rest (constants and ops on constants only) ``grad`` is None and their
-    pairs are left out of ``parents``.
+    ``g``; leaves have none.  A parameter is exactly a leaf whose ``grad``
+    is set.  An input carries a gradient if it is a parameter or has
+    parents; the pairs of the rest (constants and ops on constants only) are
+    left out of ``parents``.  An op node's ``grad`` stays None until
+    :func:`backward` first writes to it.
     """
 
     __slots__ = ("value", "grad", "parents")
 
     def __init__(self, value, parents=()):
         self.value = as_matrix(value)
-        self.parents = tuple((p, vjp) for p, vjp in parents if p.grad is not None)
-        self.grad = np.zeros_like(self.value) if self.parents else None
+        self.parents = tuple((p, vjp) for p, vjp in parents if p.parents or p.grad is not None)
+        self.grad = None
 
 
 def param(value) -> Node:
@@ -201,7 +203,7 @@ def _check_nonempty(op: str, a: Node) -> None:
 
 def sum_all(a: Node) -> Node:
     _check_nonempty("sum", a)
-    return Node([[a.value.sum()]], ((a, lambda g: g[0, 0]),))
+    return Node([[a.value.sum()]], ((a, lambda g: np.full_like(a.value, g[0, 0])),))
 
 
 def cross_entropy(logits: Node, labels) -> Node:
@@ -264,16 +266,30 @@ def _toposort(root: Node) -> list[Node]:
 
 
 def backward(loss: Node) -> None:
-    """Accumulate dloss/dnode into the ``grad`` of every node that carries one
-    and is reachable from ``loss``; the only code that writes an op's share."""
+    """Accumulate dloss/dnode into the ``grad`` of every parameter and op node
+    reachable from ``loss``; the only code that writes an op's share.
+
+    An op node whose ``grad`` is None gets ``share + 0.0`` on its first
+    write: a fresh array, so it never aliases the share's source (``add``
+    passes its own gradient on), with -0.0 turned into +0.0 as adding to
+    zeros would.  Later shares are added in place, so a second call over the
+    same graph adds to the gradients the first one left.
+    """
     if loss.value.shape != (1, 1):
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
-    if loss.grad is None:
+    if loss.grad is not None:
+        loss.grad += 1.0
+    elif loss.parents:
+        loss.grad = np.ones_like(loss.value)
+    else:
         return
-    loss.grad += 1.0
     for node in reversed(_toposort(loss)):
         for parent, vjp in node.parents:
-            parent.grad += vjp(node.grad)
+            share = vjp(node.grad)
+            if parent.grad is None:
+                parent.grad = share + 0.0
+            else:
+                parent.grad += share
 
 
 @dataclass

@@ -323,6 +323,43 @@ class TestBackward:
         assert np.array_equal(second_a, first_a)
         assert np.array_equal(second_b, first_b)
 
+    def test_op_gradients_appear_on_first_write(self):
+        rng = np.random.default_rng(10)
+        buckets, x, _ = _batch_parts(messy_graphs(rng, [1, 3, 6, 9]))
+        w1, w2 = ad.param(rng.normal(size=(2, 5))), ad.param(rng.normal(size=(5, 4)))
+        h1 = ad.gcn_layer(buckets, ad.const(x), w1)
+        h2 = ad.gcn_layer(buckets, h1, w2)
+        loss = ad.sum_all(h2)
+        assert all(n.grad is None for n in (h1, h2, loss))
+
+        ad.backward(loss)
+        for n in (h1, h2, loss, w1, w2):
+            assert n.grad.shape == n.value.shape
+        assert np.array_equal(h2.grad, np.ones_like(h2.value))
+        first = {"h1": h1.grad.copy(), "w1": w1.grad.copy(), "w2": w2.grad.copy()}
+        assert all(np.any(g != 0) for g in first.values())
+
+        # a second pass adds to what the first left, reading each node's
+        # running total: loss 2, h2 1 + 2, h1 and w2 1 + 3, w1 1 + 4
+        ad.backward(loss)
+        assert np.array_equal(loss.grad, [[2.0]])
+        assert np.array_equal(h2.grad, np.full_like(h2.value, 3.0))
+        for got, want in ((h1.grad, 4 * first["h1"]), (w2.grad, 4 * first["w2"]),
+                          (w1.grad, 5 * first["w1"])):
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_first_write_copies_the_share(self):
+        # add passes its own gradient on; s must not alias it, or the second
+        # pass would add into loss.grad through s.grad
+        x = ad.param([[1.0, 2.0]])
+        s = ad.sum_all(x)
+        loss = ad.add(s, s)
+        ad.backward(loss)
+        ad.backward(loss)
+        assert np.array_equal(loss.grad, [[2.0]])
+        assert np.array_equal(s.grad, [[6.0]])
+        assert np.array_equal(x.grad, [[8.0, 8.0]])
+
 
 class TestCrossEntropy:
     def test_value_and_gradient_match_finite_differences(self):
